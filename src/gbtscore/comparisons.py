@@ -1,10 +1,13 @@
 """Alternatives, comparison matrices, edits, and the row-wise partial order.
 
 A comparison matrix stores one signed value per compared (unordered) pair of
-alternatives. Values are kept once, in canonical orientation (lower index
-first); querying the opposite orientation negates, so antisymmetry holds by
-construction and cannot drift. Matrices are immutable: edits return new
-values.
+alternatives, in three arrays ``(i, j, r)``: alternative indices with
+``i < j`` and the value oriented from ``i`` to ``j``, sorted by the pair key
+``i * A + j`` (A alternatives) with no key repeated. Querying the opposite
+orientation negates, so antisymmetry holds by construction and cannot
+drift. A build validates whole arrays at once (ids, self pairs, finiteness,
+duplicates, support). Matrices are immutable: the arrays are read-only and
+edits return new matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,134 +104,173 @@ class OrderRelation(enum.Enum):
     """Classification of two matrices under the row-a partial order.
 
     STRICTLY_LESS means every comparison involving a weakly increased, at
-    least one strictly, and nothing else moved. LESS_OR_EQUAL is the
-    non-strict variant excluding equality; with exact values it can only be
-    reported when a weak increase exists without a strict one, which
-    collapses to EQUAL, so it is kept for completeness of the two-tier
-    relation.
+    least one strictly, and nothing else moved.
     """
 
     EQUAL = "equal"
     STRICTLY_LESS = "strictly_less"
-    LESS_OR_EQUAL = "less_or_equal"
     INCOMPARABLE = "incomparable"
 
 
 class ComparisonMatrix:
     """Antisymmetric sparse map from unordered pairs to comparison values.
 
-    ``law`` is optional; when attached, every value must lie in the law's
-    support closure and edits are validated against it as well.
+    Storage is ``index_arrays = (i, j, r)``: int64 indices with ``i < j``,
+    float64 values oriented from i to j, sorted by ``i * A + j``, unique,
+    and read-only (``writeable=False``).
+
+    Entries come either as ``entries`` (a mapping ``(a, b) -> value`` or
+    ``(a, b, value)`` triples, by id) or as ``indices = (i, j, r)``: arrays
+    of alternative indices and values oriented from i to j, in any order and
+    orientation. Either way they are checked in input order, and the first
+    faulty entry raises: an unknown id or index (MismatchError), a self pair
+    or non-finite value (InputError), a pair already given
+    (InputError) or, when ``law`` is attached, a value outside the law's
+    support closure (SupportError). Edits are validated against the law too.
+
+    ``rows`` gives each entry's source line, as the CSV reader does: errors
+    then name the row, and a non-finite value without a law is reported
+    only after every duplicate, without a row.
     """
 
     def __init__(self, alternatives: AlternativeSet,
                  entries: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]] = (),
-                 law: RootLaw | None = None):
+                 law: RootLaw | None = None, *,
+                 indices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 rows: Sequence[int] | None = None):
         self.alternatives = alternatives
         self.law = law
-        triples: Iterable[tuple[str, str, float]]
-        if isinstance(entries, Mapping):
-            triples = ((a, b, v) for (a, b), v in entries.items())
+        n_alts = len(alternatives)
+        if indices is None:
+            if isinstance(entries, Mapping):
+                entries = ((a, b, v) for (a, b), v in entries.items())
+            given = list(entries)
+            index = alternatives._index
+            i = np.fromiter((index.get(t[0], -1) for t in given), np.int64, len(given))
+            j = np.fromiter((index.get(t[1], -1) for t in given), np.int64, len(given))
+            r = np.fromiter((float(v) for _, _, v in given), np.float64, len(given))
         else:
-            triples = entries
-        store: dict[tuple[int, int], float] = {}
-        for a, b, value in triples:
-            key, v = self._canonical(a, b, float(value))
-            if key in store:
-                raise InputError(f"duplicate comparison for pair ({a!r}, {b!r})")
-            self._check_support(v, a, b)
-            store[key] = v
-        self._entries = dict(sorted(store.items()))
+            if entries != ():
+                raise ParameterError("give either entries or indices, not both")
+            i, j, r = (np.asarray(x, dtype=t).ravel()
+                       for x, t in zip(indices, (np.int64, np.int64, np.float64)))
+            if not i.size == j.size == r.size:
+                raise ParameterError(
+                    f"index arrays differ in length: {i.size}, {j.size}, {r.size}")
+            given = None
 
-    def _canonical(self, a: str, b: str, value: float):
-        ia = self.alternatives.index_of(a)
-        ib = self.alternatives.index_of(b)
-        if ia == ib:
-            raise InputError(f"self comparison for {a!r}")
-        if not np.isfinite(value):
-            raise InputError(f"non-finite comparison value for pair ({a!r}, {b!r})")
-        return ((ia, ib), value) if ia < ib else ((ib, ia), -value)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        keys = lo * n_alts + hi
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        nonfinite = ~np.isfinite(r)
+        checks = [("unknown", (lo < 0) | (hi >= n_alts)), ("self", i == j)]
+        if rows is None:
+            checks.append(("nonfinite", nonfinite))
+        checks.append(("duplicate", repeat))
+        if law is not None:
+            checks.append(("support", ~law.contains(r)))
+        faulty = np.logical_or.reduce([mask for _, mask in checks])
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            kind = next(name for name, mask in checks if mask[k])
+            raise self._fault(kind, k, i, j, r, keys, given, rows)
+        if nonfinite.any():  # with rows and no law, reported after every row fault
+            raise self._fault("nonfinite", int(np.argmax(nonfinite)), i, j, r, keys, given, None)
 
-    def _check_support(self, value: float, a: str, b: str):
-        if self.law is not None and not (self.law.contains(value) and self.law.contains(-value)):
-            raise SupportError(
-                f"value {value!r} for pair ({a!r}, {b!r}) outside the "
-                f"support of model {self.law.spec_string!r}")
+        self._set(lo[order], hi[order], np.where(i < j, r, -r)[order])
+
+    def _fault(self, kind, k, i, j, r, keys, given, rows):
+        """The error for entry k, naming the ids (or indices) it was given with."""
+        if given is not None:
+            a, b = given[k][0], given[k][1]
+            if kind == "unknown":
+                return MismatchError(
+                    f"unknown alternative id {(b if a in self.alternatives else a)!r}")
+        else:
+            a, b = int(i[k]), int(j[k])
+            if kind == "unknown":
+                bad = b if 0 <= a < len(self.alternatives) else a
+                return MismatchError(f"alternative index {bad} out of range")
+            a, b = self.alternatives.ids[a], self.alternatives.ids[b]
+        row = None if rows is None else int(rows[k])
+        pair = f"pair ({a!r}, {b!r})"
+        if kind == "self":
+            return InputError(f"self comparison for {a!r}", row=row)
+        if kind == "nonfinite":
+            return InputError(f"non-finite comparison value for {pair}", row=row)
+        if kind == "duplicate":
+            first = np.argmax(keys == keys[k])
+            where = "" if rows is None else f", first on row {int(rows[first])}"
+            return InputError(f"duplicate comparison for {pair}{where}", row=row)
+        return SupportError(f"value {float(r[k])!r} for {pair} outside the support "
+                            f"of model {self.law.spec_string!r}", row=row)
+
+    def _set(self, i: np.ndarray, j: np.ndarray, r: np.ndarray) -> None:
+        """Store canonical sorted arrays; callers guarantee the invariants."""
+        keys = i * len(self.alternatives) + j
+        for arr in (i, j, r, keys):
+            arr.flags.writeable = False
+        self.index_arrays = (i, j, r)
+        self._keys = keys
+
+    def _key(self, a: str, b: str) -> tuple[int, bool]:
+        """Pair key of (a, b) and whether a comes first in canonical orientation."""
+        ia, ib = self.alternatives.index_of(a), self.alternatives.index_of(b)
+        return min(ia, ib) * len(self.alternatives) + max(ia, ib), ia < ib
+
+    def _find(self, key: int) -> tuple[int, bool]:
+        """Position of key in the sorted keys, and whether it is stored there."""
+        pos = int(np.searchsorted(self._keys, key))
+        return pos, pos < self._keys.size and int(self._keys[pos]) == key
 
     # ------------------------------------------------------------------ queries
 
     @property
     def num_pairs(self) -> int:
-        return len(self._entries)
+        return int(self._keys.size)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def pair_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._entries)
+        return self.num_pairs
 
     def has_pair(self, a: str, b: str) -> bool:
-        ia, ib = self.alternatives.index_of(a), self.alternatives.index_of(b)
-        return (min(ia, ib), max(ia, ib)) in self._entries
+        key, _ = self._key(a, b)
+        return a != b and self._find(key)[1]
 
     def value(self, a: str, b: str) -> float:
         """Comparison value oriented from a to b; negates the stored one if needed."""
-        ia, ib = self.alternatives.index_of(a), self.alternatives.index_of(b)
-        if ia == ib:
+        key, forward = self._key(a, b)
+        if a == b:
             raise MismatchError(f"no self comparison for {a!r}")
-        key = (min(ia, ib), max(ia, ib))
-        try:
-            stored = self._entries[key]
-        except KeyError:
-            raise MismatchError(f"pair ({a!r}, {b!r}) not compared") from None
-        return stored if ia < ib else -stored
-
-    def neighbors(self, a: str) -> list[tuple[str, float]]:
-        """All partners of a with values oriented from a, in index order."""
-        ia = self.alternatives.index_of(a)
-        ids = self.alternatives.ids
-        out = []
-        for (i, j), v in self._entries.items():
-            if i == ia:
-                out.append((ids[j], v))
-            elif j == ia:
-                out.append((ids[i], -v))
-        return out
-
-    def degree(self, a: str) -> int:
-        ia = self.alternatives.index_of(a)
-        return sum(1 for (i, j) in self._entries if ia in (i, j))
+        pos, found = self._find(key)
+        if not found:
+            raise MismatchError(f"pair ({a!r}, {b!r}) not compared")
+        stored = float(self.index_arrays[2][pos])
+        return stored if forward else -stored
 
     def iter_entries(self) -> Iterator[tuple[str, str, float]]:
         ids = self.alternatives.ids
-        for (i, j), v in self._entries.items():
-            yield ids[i], ids[j], v
-
-    @cached_property
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, r) arrays in canonical orientation, ordered by (i, j)."""
-        if not self._entries:
-            empty = np.empty(0)
-            return empty.astype(int), empty.astype(int), empty
-        keys = np.array(list(self._entries), dtype=int)
-        vals = np.array(list(self._entries.values()), dtype=float)
-        return keys[:, 0], keys[:, 1], vals
+        i, j, r = self.index_arrays
+        for a, b, v in zip(i.tolist(), j.tolist(), r.tolist()):
+            yield ids[a], ids[b], v
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(len(self.alternatives), dtype=int)
         i, j, _ = self.index_arrays
-        np.add.at(deg, i, 1)
-        np.add.at(deg, j, 1)
-        return deg
+        n_alts = len(self.alternatives)
+        return np.bincount(i, minlength=n_alts) + np.bincount(j, minlength=n_alts)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ComparisonMatrix)
                 and self.alternatives == other.alternatives
-                and self._entries == other._entries)
+                and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self.index_arrays[2], other.index_arrays[2]))
 
     def __hash__(self):
-        return hash((self.alternatives, tuple(self._entries.items())))
+        # + 0.0 maps -0.0 to 0.0, which __eq__ treats as equal
+        return hash((self.alternatives, self._keys.tobytes(),
+                     (self.index_arrays[2] + 0.0).tobytes()))
 
     def __repr__(self):
         return (f"ComparisonMatrix(A={len(self.alternatives)}, "
@@ -240,32 +282,44 @@ class ComparisonMatrix:
         return ComparisonMatrix(self.alternatives, entries, law=self.law if law is None else law)
 
     def apply_edit(self, edit: ComparisonEdit) -> "ComparisonMatrix":
-        """Return a new matrix one elementary modification away."""
+        """Return a new matrix one elementary modification away.
+
+        Only the edited entry is validated; the result is spliced from this
+        matrix's arrays at the pair's sorted position.
+        """
         a, b = edit.pair
-        key, v = self._canonical(a, b, 0.0 if edit.new_value is None else float(edit.new_value))
-        present = key in self._entries
+        key, forward = self._key(a, b)
+        if a == b:
+            raise InputError(f"self comparison for {a!r}")
+        value = 0.0 if edit.new_value is None else float(edit.new_value)
+        if not np.isfinite(value):
+            raise InputError(f"non-finite comparison value for pair ({a!r}, {b!r})")
+        v = value if forward else -value
+        pos, present = self._find(key)
+        i, j, r = self.index_arrays
         if edit.kind == EditKind.ADD:
             if present:
                 raise EditError(f"pair ({a!r}, {b!r}) already compared")
-            self._check_support(v, a, b)
-        elif edit.kind == EditKind.REMOVE:
-            if not present:
-                raise EditError(f"pair ({a!r}, {b!r}) not compared")
-        else:
-            if not present:
-                raise EditError(f"pair ({a!r}, {b!r}) not compared")
-            if self._entries[key] == v:
-                raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
-            self._check_support(v, a, b)
-        entries = dict(self._entries)
+        elif not present:
+            raise EditError(f"pair ({a!r}, {b!r}) not compared")
+        elif edit.kind == EditKind.CHANGE and r[pos] == v:
+            raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
+        if edit.kind != EditKind.REMOVE and self.law is not None and not self.law.contains(value):
+            raise SupportError(f"value {value!r} for pair ({a!r}, {b!r}) outside the "
+                               f"support of model {self.law.spec_string!r}")
+
         if edit.kind == EditKind.REMOVE:
-            del entries[key]
+            i, j, r = np.delete(i, pos), np.delete(j, pos), np.delete(r, pos)
+        elif edit.kind == EditKind.ADD:
+            lo, hi = divmod(key, len(self.alternatives))
+            i, j, r = np.insert(i, pos, lo), np.insert(j, pos, hi), np.insert(r, pos, v)
         else:
-            entries[key] = v
+            r = r.copy()
+            r[pos] = v
         out = ComparisonMatrix.__new__(ComparisonMatrix)
         out.alternatives = self.alternatives
         out.law = self.law
-        out._entries = dict(sorted(entries.items()))
+        out._set(i, j, r)
         return out
 
     def edit_distance(self, other: "ComparisonMatrix") -> int:
@@ -273,11 +327,10 @@ class ComparisonMatrix:
         pairs present on one side only, plus shared pairs whose values differ."""
         if self.alternatives != other.alternatives:
             raise MismatchError("edit distance requires a common alternative set")
-        mine, theirs = self._entries, other._entries
-        domain = sum(1 for k in mine if k not in theirs)
-        domain += sum(1 for k in theirs if k not in mine)
-        changed = sum(1 for k, v in mine.items() if k in theirs and theirs[k] != v)
-        return domain + changed
+        _, mine, theirs = np.intersect1d(self._keys, other._keys,
+                                         assume_unique=True, return_indices=True)
+        changed = np.count_nonzero(self.index_arrays[2][mine] != other.index_arrays[2][theirs])
+        return self.num_pairs + other.num_pairs - 2 * mine.size + int(changed)
 
     # ------------------------------------------------------------------ ordering
 
@@ -287,24 +340,21 @@ class ComparisonMatrix:
         untouched. Defined only for matrices over the same comparison set."""
         if self.alternatives != other.alternatives:
             raise MismatchError("partial order requires a common alternative set")
-        if self.pair_keys() != other.pair_keys():
+        if not np.array_equal(self._keys, other._keys):
             raise MismatchError("partial order is only defined for matrices "
                                 "over the same comparison set")
         ia = self.alternatives.index_of(a)
-        any_strict = False
-        for key, v in self._entries.items():
-            w = other._entries[key]
-            if ia not in key:
-                if v != w:
-                    return OrderRelation.INCOMPARABLE
-                continue
-            # orient from a
-            dv = (w - v) if key[0] == ia else (v - w)
-            if dv < 0:
-                return OrderRelation.INCOMPARABLE
-            if dv > 0:
-                any_strict = True
-        return OrderRelation.STRICTLY_LESS if any_strict else OrderRelation.EQUAL
+        i, j, mine = self.index_arrays
+        theirs = other.index_arrays[2]
+        first, second = i == ia, j == ia
+        off_row = ~(first | second)
+        if np.any(mine[off_row] != theirs[off_row]):
+            return OrderRelation.INCOMPARABLE
+        # oriented from a: stored values where a is i, negated where a is j
+        up = np.concatenate([theirs[first] - mine[first], mine[second] - theirs[second]])
+        if np.any(up < 0):
+            return OrderRelation.INCOMPARABLE
+        return OrderRelation.STRICTLY_LESS if np.any(up > 0) else OrderRelation.EQUAL
 
 
 # ---------------------------------------------------------------------- CSV
@@ -313,48 +363,79 @@ _COMPARISON_HEADER = ["a", "b", "r"]
 _SCORE_HEADER = ["a", "theta"]
 
 
+def _csv_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of a UTF-8 CSV after its checked header.
+
+    Rows are numbered from 1 at the header; blank lines are skipped. Bytes
+    that are not UTF-8 and errors of the csv module (such as a field over
+    its size limit) raise InputError.
+    """
+    reader = None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or [h.strip().lower() for h in head] != header:
+                raise InputError(f"expected header {','.join(header)!r}, got {head!r}", row=1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise InputError(f"expected {len(header)} fields, got {len(row)}", row=lineno)
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text: {exc.reason}", row=_undecodable_row(path)) from None
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV: {exc}",
+                         row=None if reader is None else reader.line_num) from None
+
+
+def _undecodable_row(path) -> int | None:
+    """Line of a file's first byte that is not UTF-8.
+
+    Decoding runs a buffer ahead of the csv reader, so the reader's own
+    line count does not locate the byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 def read_comparisons_csv(path, law: RootLaw | None = None) -> ComparisonMatrix:
     """Read a ``a,b,r`` CSV into a matrix over the sorted set of ids seen.
 
     Errors carry 1-based row numbers (the header is row 1). Duplicate
     unordered pairs are an error, not an aggregation.
     """
-    rows: list[tuple[int, str, str, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != _COMPARISON_HEADER:
-            raise InputError(f"expected header {','.join(_COMPARISON_HEADER)!r}, "
-                             f"got {header!r}", row=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise InputError(f"expected 3 fields, got {len(row)}", row=lineno)
-            a, b, raw = row[0].strip(), row[1].strip(), row[2].strip()
-            if not a or not b:
-                raise InputError("empty alternative id", row=lineno)
-            if a == b:
-                raise InputError(f"self comparison for {a!r}", row=lineno)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise InputError(f"bad comparison value {raw!r}", row=lineno) from None
-            rows.append((lineno, a, b, value))
-    if not rows:
+    lines: list[int] = []
+    first: list[str] = []
+    second: list[str] = []
+    values: list[float] = []
+    for lineno, (a, b, raw) in _csv_rows(path, _COMPARISON_HEADER):
+        a, b, raw = a.strip(), b.strip(), raw.strip()
+        if not a or not b:
+            raise InputError("empty alternative id", row=lineno)
+        if a == b:
+            raise InputError(f"self comparison for {a!r}", row=lineno)
+        try:
+            values.append(float(raw))
+        except ValueError:
+            raise InputError(f"bad comparison value {raw!r}", row=lineno) from None
+        lines.append(lineno)
+        first.append(a)
+        second.append(b)
+    if not values:
         raise InputError("no comparison rows")
-    alts = AlternativeSet.from_ids(sorted({a for _, a, b, _ in rows} | {b for _, a, b, _ in rows}))
-    seen: dict[tuple[int, int], int] = {}
-    for lineno, a, b, value in rows:
-        ia, ib = alts.index_of(a), alts.index_of(b)
-        key = (min(ia, ib), max(ia, ib))
-        if key in seen:
-            raise InputError(f"pair ({a!r}, {b!r}) duplicates row {seen[key]}", row=lineno)
-        seen[key] = lineno
-        if law is not None and not law.contains(value):
-            raise SupportError(f"value {value!r} outside the support of model "
-                               f"{law.spec_string!r}", row=lineno)
-    return ComparisonMatrix(alts, [(a, b, v) for _, a, b, v in rows], law=law)
+    alts = AlternativeSet.from_ids(sorted(set(first).union(second)))
+    index = alts._index
+    n = len(values)
+    i = np.fromiter(map(index.__getitem__, first), np.int64, n)
+    j = np.fromiter(map(index.__getitem__, second), np.int64, n)
+    return ComparisonMatrix(alts, law=law, indices=(i, j, np.array(values)), rows=lines)
 
 
 def write_comparisons_csv(matrix: ComparisonMatrix, path) -> None:
@@ -370,23 +451,14 @@ def write_comparisons_csv(matrix: ComparisonMatrix, path) -> None:
 def read_scores_csv(path):
     """Read an ``a,theta`` CSV; returns (AlternativeSet, values ndarray)."""
     pairs: list[tuple[str, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != _SCORE_HEADER:
-            raise InputError(f"expected header {','.join(_SCORE_HEADER)!r}, got {header!r}", row=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise InputError(f"expected 2 fields, got {len(row)}", row=lineno)
-            a, raw = row[0].strip(), row[1].strip()
-            if not a:
-                raise InputError("empty alternative id", row=lineno)
-            try:
-                pairs.append((a, float(raw)))
-            except ValueError:
-                raise InputError(f"bad score value {raw!r}", row=lineno) from None
+    for lineno, (a, raw) in _csv_rows(path, _SCORE_HEADER):
+        a, raw = a.strip(), raw.strip()
+        if not a:
+            raise InputError("empty alternative id", row=lineno)
+        try:
+            pairs.append((a, float(raw)))
+        except ValueError:
+            raise InputError(f"bad score value {raw!r}", row=lineno) from None
     if not pairs:
         raise InputError("no score rows")
     ids = [a for a, _ in pairs]

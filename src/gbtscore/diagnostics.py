@@ -210,20 +210,25 @@ def _random_value(law: RootLaw, rng) -> float:
 
 
 def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng) -> ComparisonEdit:
+    # present pairs in sorted key order, absent ones in row-major i < j order
     ids = matrix.alternatives.ids
-    present = [(ids[i], ids[j]) for (i, j) in sorted(matrix.pair_keys())]
-    absent = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
-              if not matrix.has_pair(ids[i], ids[j])]
+    present_i, present_j, _ = matrix.index_arrays
+    upper_i, upper_j = np.triu_indices(len(ids), 1)
+    compared = np.zeros((len(ids), len(ids)), dtype=bool)
+    compared[present_i, present_j] = True
+    absent = np.flatnonzero(~compared[upper_i, upper_j])
     kinds = [EditKind.CHANGE]
-    if absent:
+    if absent.size:
         kinds.append(EditKind.ADD)
-    if len(present) > 1:
+    if present_i.size > 1:
         kinds.append(EditKind.REMOVE)
     kind = kinds[rng.integers(len(kinds))]
     if kind == EditKind.ADD:
-        pair = absent[rng.integers(len(absent))]
+        k = absent[rng.integers(absent.size)]
+        pair = (ids[upper_i[k]], ids[upper_j[k]])
         return ComparisonEdit(EditKind.ADD, pair, _random_value(law, rng))
-    pair = present[rng.integers(len(present))]
+    k = rng.integers(present_i.size)
+    pair = (ids[present_i[k]], ids[present_j[k]])
     if kind == EditKind.REMOVE:
         return ComparisonEdit(EditKind.REMOVE, pair)
     old = matrix.value(*pair)

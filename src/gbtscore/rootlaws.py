@@ -185,15 +185,21 @@ class RootLaw:
             return np.arange(-n, n + 1, dtype=float)
         return None
 
-    def contains(self, r: float) -> bool:
-        """Whether r lies in the support closure (interval for bounded laws)."""
-        if not np.isfinite(r):
-            return False
+    def contains(self, r):
+        """Whether r lies in the support closure (interval for bounded laws).
+
+        A scalar gives a bool, an array a boolean array of the same shape.
+        Non-finite values are never contained.
+        """
+        arr = np.asarray(r, dtype=float)
         if self.is_bounded:
-            return abs(r) <= 1.0
-        if self.family == Family.POISSON:
-            return abs(r - round(r)) <= 1e-9
-        return True
+            inside = np.abs(arr) <= 1.0
+        elif self.family == Family.POISSON:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                inside = np.abs(arr - np.round(arr)) <= 1e-9
+        else:
+            inside = np.isfinite(arr)
+        return bool(inside) if arr.ndim == 0 else inside
 
     # ---------------------------------------------------------------- cumulants
 

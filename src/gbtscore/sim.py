@@ -84,18 +84,15 @@ def synthesize_comparisons(law: RootLaw, truth: ScoreVector,
                            pairs, rng) -> ComparisonMatrix:
     """One conditionally independent tilted draw per pair at theta_i - theta_j."""
     alts = truth.alternatives
-    index_pairs = [(int(i), int(j)) for i, j in pairs]
-    if any(i == j or not (0 <= i < len(alts) and 0 <= j < len(alts)) for i, j in index_pairs):
+    index_pairs = np.array([(int(i), int(j)) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
+    i, j = index_pairs[:, 0], index_pairs[:, 1]
+    if np.any((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= len(alts))):
         raise ParameterError("pair indices out of range")
-    if not index_pairs:
+    if not i.size:
         return ComparisonMatrix(alts, [], law=law)
-    i = np.array([p[0] for p in index_pairs])
-    j = np.array([p[1] for p in index_pairs])
     tilt = truth.values[i] - truth.values[j]
     draws = law.sample_comparison(tilt, rng)
-    ids = alts.ids
-    return ComparisonMatrix(
-        alts, [(ids[a], ids[b], float(r)) for a, b, r in zip(i, j, draws)], law=law)
+    return ComparisonMatrix(alts, law=law, indices=(i, j, draws))
 
 
 def norm_error(estimate, truth) -> float:
@@ -114,13 +111,13 @@ def norm_error(estimate, truth) -> float:
 def restrict_matrix(matrix: ComparisonMatrix, indices) -> tuple[ComparisonMatrix, np.ndarray]:
     """Sub-matrix over the given alternative indices, plus the index array."""
     idx = np.array(sorted(int(i) for i in indices))
-    ids = [matrix.alternatives.ids[i] for i in idx]
-    keep = set(idx.tolist())
-    sub = AlternativeSet.from_ids(ids)
-    entries = [(a, b, v) for a, b, v in matrix.iter_entries()
-               if matrix.alternatives.index_of(a) in keep
-               and matrix.alternatives.index_of(b) in keep]
-    return ComparisonMatrix(sub, entries, law=matrix.law), idx
+    sub = AlternativeSet.from_ids(matrix.alternatives.ids[i] for i in idx)
+    position = np.full(len(matrix.alternatives), -1)
+    position[idx] = np.arange(idx.size)
+    i, j, r = matrix.index_arrays
+    keep = (position[i] >= 0) & (position[j] >= 0)
+    return ComparisonMatrix(sub, law=matrix.law,
+                            indices=(position[i[keep]], position[j[keep]], r[keep])), idx
 
 
 # ------------------------------------------------------------------ experiments

@@ -72,6 +72,19 @@ class TestFit:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"), "--model", "uniform"]) == 2
 
+    def test_non_utf8_bytes_exit_2(self, tmp_path, capsys):
+        inp = tmp_path / "latin.csv"
+        inp.write_bytes(b"a,b,r\nx,y,0.5\n\xff\xfe,z,0.1\n")
+        rc = main(["fit", "--input", str(inp), "--model", "uniform"])
+        assert rc == 2
+        assert "error: row 3: not UTF-8" in capsys.readouterr().err
+
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        inp = write(tmp_path / "long.csv", "a,b,r\nx,y,0.5\n" + "q" * 131073 + ",z,0.1\n")
+        rc = main(["fit", "--input", inp, "--model", "uniform"])
+        assert rc == 2
+        assert "error: row 3: malformed CSV" in capsys.readouterr().err
+
 
 class TestSample:
     def test_deterministic_and_valid(self, tmp_path):

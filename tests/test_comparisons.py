@@ -1,13 +1,15 @@
 """Comparison matrices: antisymmetry, edits, the partial order, CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbtscore import (AlternativeSet, ComparisonEdit, ComparisonMatrix,
-                      EditKind, InputError, MismatchError, OrderRelation,
-                      ParameterError, RootLaw, SupportError, EditError,
+                      EditKind, Family, GbtError, InputError, MismatchError,
+                      OrderRelation, ParameterError, RootLaw, SupportError, EditError,
                       read_comparisons_csv, read_scores_csv,
                       write_comparisons_csv, write_scores_csv)
 
@@ -41,18 +43,12 @@ class TestMatrixBasics:
         assert m.value("a", "b") == 0.5
         assert m.value("b", "a") == -0.5
 
-    def test_neighbors(self):
-        m = matrix([("a", "b", 0.5)])
-        assert m.neighbors("a") == [("b", 0.5)]
-        assert m.neighbors("b") == [("a", -0.5)]
-        assert m.neighbors("c") == []
-
     def test_complete_graph_degrees(self):
         ids = [f"x{i}" for i in range(6)]
         alts = AlternativeSet.from_ids(ids)
         entries = [(ids[i], ids[j], 0.1) for i in range(6) for j in range(i + 1, 6)]
         m = ComparisonMatrix(alts, entries)
-        assert all(m.degree(a) == 5 for a in ids)
+        assert m.degrees.tolist() == [5] * 6
         assert m.num_pairs == 15
 
     def test_duplicate_pair_rejected(self):
@@ -295,3 +291,312 @@ class TestCsv:
         path.write_text("a,b,r\n")
         with pytest.raises(InputError):
             read_comparisons_csv(path)
+
+
+# ---------------------------------------------------------------- dict reference
+#
+# The per-entry dict store that the array store replaced, kept as an oracle:
+# canonicalize and validate one entry at a time, in input order.
+
+def reference_contains(law, r):
+    if not np.isfinite(r):
+        return False
+    if law.is_bounded:
+        return abs(r) <= 1.0
+    if law.family == Family.POISSON:
+        return abs(r - round(r)) <= 1e-9
+    return True
+
+
+def reference_build(alts, entries, law):
+    """Canonical {(i, j): r} of the entries, or the first entry's error."""
+    triples = ((a, b, v) for (a, b), v in entries.items()) if isinstance(entries, dict) else entries
+    store = {}
+    for a, b, value in triples:
+        value = float(value)
+        ia, ib = alts.index_of(a), alts.index_of(b)
+        if ia == ib:
+            raise InputError(f"self comparison for {a!r}")
+        if not np.isfinite(value):
+            raise InputError("non-finite comparison value")
+        key, v = ((ia, ib), value) if ia < ib else ((ib, ia), -value)
+        if key in store:
+            raise InputError("duplicate comparison")
+        if law is not None and not (reference_contains(law, v) and reference_contains(law, -v)):
+            raise SupportError("outside the support")
+        store[key] = v
+    return dict(sorted(store.items()))
+
+
+def reference_arrays(store):
+    keys = list(store)
+    return (np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array(list(store.values()), dtype=np.float64))
+
+
+def reference_edit_distance(mine, theirs):
+    return (sum(1 for k in mine if k not in theirs) + sum(1 for k in theirs if k not in mine)
+            + sum(1 for k, v in mine.items() if k in theirs and theirs[k] != v))
+
+
+def reference_leq_at(mine, theirs, ia):
+    if set(mine) != set(theirs):
+        return MismatchError
+    any_strict = False
+    for key, v in mine.items():
+        w = theirs[key]
+        if ia not in key:
+            if v != w:
+                return OrderRelation.INCOMPARABLE
+            continue
+        dv = (w - v) if key[0] == ia else (v - w)
+        if dv < 0:
+            return OrderRelation.INCOMPARABLE
+        if dv > 0:
+            any_strict = True
+    return OrderRelation.STRICTLY_LESS if any_strict else OrderRelation.EQUAL
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except GbtError as exc:
+        return type(exc)
+
+
+def same_arrays(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+LAWS = (None, RootLaw.knary(5), RootLaw.uniform(), RootLaw.poisson(1.5), RootLaw.gaussian(1.0))
+
+
+def value_in_support(law):
+    if law is None or law.family == Family.GAUSSIAN:
+        return st.floats(-5.0, 5.0)
+    if law.family == Family.KNARY:
+        return st.sampled_from(law.support_points().tolist())
+    if law.family == Family.POISSON:
+        return st.integers(-4, 4).map(float)
+    return st.floats(-1.0, 1.0)
+
+
+FAULTS = ("unknown", "self", "nonfinite", "duplicate", "support")
+
+
+@st.composite
+def build_case(draw):
+    """(alternatives, entries, law): shuffled, partly flipped, maybe with faults."""
+    n = draw(st.integers(2, 6))
+    ids = [f"id{k}" for k in draw(st.permutations(range(n)))]
+    alts = AlternativeSet.from_ids(ids)
+    law = draw(st.sampled_from(LAWS))
+    values = value_in_support(law)
+    pool = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    entries = []
+    for x, y in draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))):
+        v = draw(values)
+        entries.append((ids[y], ids[x], -v) if draw(st.booleans()) else (ids[x], ids[y], v))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        a, b = draw(st.sampled_from(pool))
+        a, b = ids[a], ids[b]
+        if fault == "unknown":
+            bad = (a, "nobody", 0.0) if draw(st.booleans()) else ("nobody", b, 0.0)
+        elif fault == "self":
+            bad = (a, a, 0.0)
+        elif fault == "nonfinite":
+            bad = (a, b, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        elif fault == "duplicate" and entries:
+            x, y, v = draw(st.sampled_from(entries))
+            bad = (y, x, draw(values)) if draw(st.booleans()) else (x, y, v)
+        elif fault == "support" and law is not None and law.family != Family.GAUSSIAN:
+            outside = st.just(0.5) if law.family == Family.POISSON else st.sampled_from([1.5, -2.0])
+            bad = (a, b, draw(outside))
+        else:
+            continue
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    if draw(st.booleans()):
+        entries = {(a, b): v for a, b, v in entries}
+    return alts, entries, law
+
+
+class TestAgainstDictReference:
+    @given(build_case())
+    @settings(max_examples=400, deadline=None)
+    def test_build_matches_reference(self, case):
+        alts, entries, law = case
+        want = outcome(lambda: reference_arrays(reference_build(alts, entries, law)))
+        got = outcome(lambda: ComparisonMatrix(alts, entries, law=law).index_arrays)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type) and same_arrays(got, want)
+
+    @given(build_case())
+    @settings(max_examples=200, deadline=None)
+    def test_index_path_matches_reference(self, case):
+        alts, triples, law = case
+        if isinstance(triples, dict):
+            triples = [(a, b, v) for (a, b), v in triples.items()]
+        # an unknown id becomes an out-of-range index
+        index = {a: alts.index_of(a) for a in alts}
+        i, j = ([index.get(t[k], len(alts)) for t in triples] for k in (0, 1))
+        r = [v for _, _, v in triples]
+        want = outcome(lambda: reference_arrays(reference_build(alts, triples, law)))
+        got = outcome(lambda: ComparisonMatrix(alts, law=law, indices=(i, j, r)).index_arrays)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type) and same_arrays(got, want)
+
+    @given(build_case(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edit_chains_match_reference(self, case, data):
+        alts, entries, law = case
+        try:
+            start = ComparisonMatrix(alts, entries, law=law)
+        except GbtError:
+            return
+        store = reference_build(alts, entries, law)
+        n = len(alts)
+        values = value_in_support(law)
+        change_only = data.draw(st.booleans())
+        ordered_pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        current, ref = start, dict(store)
+        for _ in range(data.draw(st.integers(1, 6))):
+            x, y = data.draw(st.sampled_from(ordered_pairs))
+            key = (min(x, y), max(x, y))
+            v = data.draw(values)
+            stored = v if x < y else -v
+            if key not in ref:
+                if change_only:
+                    continue
+                edit = ComparisonEdit(EditKind.ADD, (alts.ids[x], alts.ids[y]), v)
+                ref[key] = stored
+            elif not change_only and data.draw(st.booleans()):
+                edit = ComparisonEdit(EditKind.REMOVE, (alts.ids[x], alts.ids[y]))
+                del ref[key]
+            elif ref[key] != stored:
+                edit = ComparisonEdit(EditKind.CHANGE, (alts.ids[x], alts.ids[y]), v)
+                ref[key] = stored
+            else:
+                continue
+            current = current.apply_edit(edit)
+            ref = dict(sorted(ref.items()))
+            assert same_arrays(current.index_arrays, reference_arrays(ref))
+        assert start.edit_distance(current) == reference_edit_distance(store, ref)
+        assert current.edit_distance(start) == reference_edit_distance(ref, store)
+        for a in alts:
+            want = reference_leq_at(store, ref, alts.index_of(a))
+            assert outcome(lambda: start.leq_at(current, a)) == want
+
+    def test_equal_matrices_hash_alike(self):
+        # a flipped zero is stored as -0.0, which equals 0.0
+        m = matrix([("b", "a", 0.0)])
+        m2 = matrix([("a", "b", 0.0)])
+        assert m == m2 and hash(m) == hash(m2)
+
+    def test_index_arrays_are_read_only(self):
+        m = matrix([("a", "b", 0.5), ("c", "d", 0.25)])
+        for arr in m.index_arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        edited = m.apply_edit(ComparisonEdit(EditKind.CHANGE, ("a", "b"), 0.75))
+        assert m.value("a", "b") == 0.5 and edited.value("a", "b") == 0.75
+        assert not any(arr.flags.writeable for arr in edited.index_arrays)
+
+
+class TestCsvErrorPrecedence:
+    def test_earlier_support_fault_wins_over_later_duplicate(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,r\nx,y,0.5\nx,z,1.5\ny,z,0.25\ny,x,0.5\n")
+        with pytest.raises(SupportError) as err:
+            read_comparisons_csv(path, law=RootLaw.uniform())
+        assert err.value.row == 3
+
+    def test_earlier_duplicate_wins_over_later_support_fault(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,r\nx,y,0.5\ny,x,0.5\ny,z,0.25\nx,z,1.5\n")
+        with pytest.raises(InputError) as err:
+            read_comparisons_csv(path, law=RootLaw.uniform())
+        assert err.value.row == 3 and "row 2" in str(err.value)
+
+    def test_triple_pair_names_second_occurrence(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,r\nx,y,0.5\nz,w,0.1\ny,x,0.5\nx,y,0.5\n")
+        with pytest.raises(InputError) as err:
+            read_comparisons_csv(path)
+        assert err.value.row == 4 and "row 2" in str(err.value)
+
+    def test_non_finite_without_law_after_duplicates_and_unnumbered(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,r\nx,y,nan\nz,w,0.1\n")
+        with pytest.raises(InputError) as err:
+            read_comparisons_csv(path)
+        assert err.value.row is None and "non-finite" in str(err.value)
+        path.write_text("a,b,r\nx,y,nan\nz,w,0.1\nw,z,0.1\n")
+        with pytest.raises(InputError) as err:
+            read_comparisons_csv(path)
+        assert err.value.row == 4
+
+    def test_non_finite_with_law_is_a_support_fault(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,r\nx,y,0.5\nz,w,inf\n")
+        with pytest.raises(SupportError) as err:
+            read_comparisons_csv(path, law=RootLaw.gaussian(1.0))
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("reader,header", [(read_comparisons_csv, b"a,b,r\nx,y,0.5\n"),
+                                               (read_scores_csv, b"a,theta\nx,0.5\n")])
+    def test_decoding_and_csv_errors_are_input_errors(self, tmp_path, reader, header):
+        path = tmp_path / "c.csv"
+        path.write_bytes(header + b"\xff\xfe,z,0.1\n")
+        with pytest.raises(InputError) as err:
+            reader(path)
+        assert err.value.row == 3
+        path.write_bytes(header + b"q" * 131073 + b",z\n")
+        with pytest.raises(InputError) as err:
+            reader(path)
+        assert err.value.row == 3
+
+
+class TestValidationIsWholeArray:
+    """Support checks run once per build, however many pairs there are."""
+
+    @staticmethod
+    def count_contains(monkeypatch):
+        calls = []
+        original = RootLaw.contains
+
+        def counted(self, r):
+            calls.append(np.size(r))
+            return original(self, r)
+
+        monkeypatch.setattr(RootLaw, "contains", counted)
+        return calls
+
+    @staticmethod
+    def complete_graph(n):
+        ids = [f"v{k:03d}" for k in range(n)]
+        i, j = np.triu_indices(n, 1)
+        r = np.linspace(-1.0, 1.0, i.size)
+        return AlternativeSet.from_ids(ids), i, j, r
+
+    @pytest.mark.parametrize("n", [15, 201])  # 105 and 20100 pairs
+    def test_build_from_arrays(self, monkeypatch, n):
+        alts, i, j, r = self.complete_graph(n)
+        calls = self.count_contains(monkeypatch)
+        m = ComparisonMatrix(alts, law=RootLaw.uniform(), indices=(j, i, -r))
+        assert m.num_pairs == i.size
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [15, 201])
+    def test_build_from_csv(self, tmp_path, monkeypatch, n):
+        alts, i, j, r = self.complete_graph(n)
+        write_comparisons_csv(ComparisonMatrix(alts, indices=(i, j, r)), tmp_path / "c.csv")
+        calls = self.count_contains(monkeypatch)
+        m = read_comparisons_csv(tmp_path / "c.csv", law=RootLaw.uniform())
+        assert m.num_pairs == i.size
+        assert len(calls) == 1
