@@ -20,7 +20,7 @@ from .diagnostics import (MonotoneStepResult, ResilienceProbe,
                           resilience_bound, write_probe_csv)
 from .errors import (EditError, GbtError, InputError, MismatchError,
                      ParameterError, SolverError, SupportError)
-from .rootlaws import Family, RootLaw, parse_model_spec, poisson_cosh_cumulant
+from .rootlaws import Family, RootLaw, parse_model_spec
 from .sim import (ExperimentConfig, ExperimentResult, SweepPoint,
                   default_alternatives, erdos_renyi_graph, norm_error,
                   restrict_matrix, run_experiment_discretization,
@@ -41,7 +41,7 @@ __all__ = [
     "write_probe_csv",
     "EditError", "GbtError", "InputError", "MismatchError", "ParameterError",
     "SolverError", "SupportError",
-    "Family", "RootLaw", "parse_model_spec", "poisson_cosh_cumulant",
+    "Family", "RootLaw", "parse_model_spec",
     "ExperimentConfig", "ExperimentResult", "SweepPoint",
     "default_alternatives", "erdos_renyi_graph", "norm_error",
     "restrict_matrix", "run_experiment_discretization",

@@ -56,7 +56,7 @@ def resilience_bound(law: RootLaw, prior: PriorConfig) -> float:
 
 def conditional_moments(law: RootLaw, theta_ab: float) -> tuple[float, float]:
     """Mean and variance of a comparison at score difference theta_ab."""
-    return law.cumulant_prime(theta_ab), law.cumulant_double_prime(theta_ab)
+    return law.tilted_moments(theta_ab)
 
 
 # ------------------------------------------------------------------ monotonicity

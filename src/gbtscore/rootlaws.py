@@ -7,6 +7,11 @@ conditional law of a comparison, and everything downstream (likelihoods,
 gradients, expected comparisons) is driven by the law's cumulant generating
 function ``Phi(theta) = log E[exp(theta * r)]`` and its first two
 derivatives, which equal the tilted mean and tilted variance.
+:meth:`RootLaw.cumulant` evaluates ``Phi``; :meth:`RootLaw.tilted_moments`
+is the derivative entry point and returns ``(Phi', Phi'')`` from one shared
+evaluation (one quadrature pass for ``beta``), which is what the solver
+calls once per Newton iterate. ``cumulant_prime`` and
+``cumulant_double_prime`` are views of it.
 
 Catalog:
 
@@ -38,11 +43,14 @@ import numpy as np
 from scipy.special import expit, gammaln, roots_jacobi
 
 from .errors import ParameterError
-from .special import langevin, langevin_deriv, log_cosh, log_sinhc, sech_sq
+from .special import langevin_pair, log_cosh, log_sinhc
 
-__all__ = ["Family", "RootLaw", "parse_model_spec", "poisson_cosh_cumulant"]
+__all__ = ["Family", "RootLaw", "parse_model_spec"]
 
 _LOG2 = float(np.log(2.0))
+# tilts per Gauss-Jacobi exp table: nodes x 4096 doubles (~3 MB at 90 nodes)
+# stays in cache, and one matmul per block forms every moment sum
+_BETA_BLOCK = 4096
 
 
 class Family(enum.Enum):
@@ -208,15 +216,23 @@ class RootLaw:
         a, _, scalar = self._split(theta)
         return _wrap(self._phi(a), scalar)
 
+    def tilted_moments(self, theta):
+        """(Phi'(theta), Phi''(theta)) from one shared evaluation.
+
+        The tilted-law mean (odd, strictly increasing) and variance (even,
+        strictly positive). Scalars give floats, arrays arrays.
+        """
+        a, s, scalar = self._split(theta)
+        mean, var = self._moments(a)
+        return _wrap(s * mean, scalar), _wrap(var, scalar)
+
     def cumulant_prime(self, theta):
         """Phi'(theta): the tilted-law mean; odd, strictly increasing."""
-        a, s, scalar = self._split(theta)
-        return _wrap(s * self._phi_prime(a), scalar)
+        return self.tilted_moments(theta)[0]
 
     def cumulant_double_prime(self, theta):
         """Phi''(theta): the tilted-law variance; even, strictly positive."""
-        a, _, scalar = self._split(theta)
-        return _wrap(self._phi_double_prime(a), scalar)
+        return self.tilted_moments(theta)[1]
 
     @staticmethod
     def _split(theta):
@@ -240,61 +256,61 @@ class RootLaw:
         if fam == Family.UNIFORM:
             return log_sinhc(a)
         if fam == Family.BETA:
-            return self._beta_moments(a)[0]
+            return self._beta_moments(a, full=False)
         return self._beta2(a)[0]
 
-    def _phi_prime(self, a):
+    def _moments(self, a):
+        """(Phi', Phi'') at theta = a >= 0."""
         fam = self.family
         if fam == Family.BERNOULLI:
-            return np.tanh(a)
+            # tanh, not (1 - e) / (1 + e), keeps the mean's relative precision
+            # at tiny tilts; sech^2 = 4e / (1 + e)^2 stays positive to |t| ~ 370
+            e = np.exp(-2.0 * a)
+            return np.tanh(a), 4.0 * e / ((1.0 + e) * (1.0 + e))
         if fam == Family.KNARY:
             k, km1 = self.k, self.k - 1
-            return (k * langevin(k * a / km1) - langevin(a / km1)) / km1
-        if fam == Family.POISSON:
-            p = self.lam * np.exp(a)
-            q = self.lam * np.exp(-a)
-            w = expit(p - q)
-            return w * p - (1.0 - w) * q
-        if fam == Family.GAUSSIAN:
-            return self.sigma0_sq * a
-        if fam == Family.UNIFORM:
-            return langevin(a)
-        if fam == Family.BETA:
-            return self._beta_moments(a)[1]
-        return self._beta2(a)[1]
-
-    def _phi_double_prime(self, a):
-        fam = self.family
-        if fam == Family.BERNOULLI:
-            return sech_sq(a)
-        if fam == Family.KNARY:
-            k, km1 = self.k, self.k - 1
-            return (k * k * langevin_deriv(k * a / km1) - langevin_deriv(a / km1)) / (km1 * km1)
+            lang_k, deriv_k = langevin_pair(k * a / km1)
+            lang_1, deriv_1 = langevin_pair(a / km1)
+            return (k * lang_k - lang_1) / km1, (k * k * deriv_k - deriv_1) / (km1 * km1)
         if fam == Family.POISSON:
             p = self.lam * np.exp(a)
             q = self.lam * np.exp(-a)
             w = expit(p - q)
             spread = w * (1.0 - w)
             quad = np.where(spread > 0.0, spread * (p + q) * (p + q), 0.0)
-            return w * p + (1.0 - w) * q + quad
+            return w * p - (1.0 - w) * q, w * p + (1.0 - w) * q + quad
         if fam == Family.GAUSSIAN:
-            return np.full_like(a, self.sigma0_sq)
+            return self.sigma0_sq * a, np.full_like(a, self.sigma0_sq)
         if fam == Family.UNIFORM:
-            return langevin_deriv(a)
+            return langevin_pair(a)
         if fam == Family.BETA:
-            return self._beta_moments(a)[2]
-        return self._beta2(a)[2]
+            return self._beta_moments(a)[1:]
+        return self._beta2(a)[1:]
 
-    def _beta_moments(self, a):
-        """(Phi, Phi', Phi'') from tilted Gauss-Jacobi moments, theta >= 0."""
+    def _beta_moments(self, a, full=True):
+        """(Phi, Phi', Phi'') from tilted Gauss-Jacobi moments, theta >= 0.
+
+        Phi alone (zeroth moment only) unless ``full``. Tilts go through in
+        blocks of ``_BETA_BLOCK`` sharing one rule, sized by the largest tilt.
+        """
         n = _beta_rule_size(float(a.max()) if a.size else 0.0)
         x, w, wsum = _jacobi_rule(self.beta, n)
-        expo = np.exp(a[:, None] * (x[None, :] - 1.0))  # exponent <= 0: no overflow
-        z = expo @ w
-        m1 = (expo @ (w * x)) / z
-        m2 = (expo @ (w * x * x)) / z
+        weights = np.stack([w, w * x, w * x * x]) if full else w[None, :]
+        shift = (x - 1.0)[:, None]
+        sums = np.empty((weights.shape[0], a.size))
+        table = np.empty((n, min(a.size, _BETA_BLOCK)))
+        for lo in range(0, a.size, _BETA_BLOCK):
+            block = a[lo:lo + _BETA_BLOCK]
+            expo = table[:, :block.size]
+            np.multiply(shift, block, out=expo)
+            np.exp(expo, out=expo)  # exponent <= 0: no overflow
+            np.matmul(weights, expo, out=sums[:, lo:lo + _BETA_BLOCK])
+        z = sums[0]
         phi = np.log(z) + a - math.log(wsum)
-        return phi, m1, m2 - m1 * m1
+        if not full:
+            return phi
+        m1 = sums[1] / z
+        return phi, m1, sums[2] / z - m1 * m1
 
     @staticmethod
     def _beta2(a):
@@ -442,18 +458,6 @@ def _beta_rejection_sample(beta, th, rng):
         out[pending[accept]] = r[accept]
         pending = pending[~accept]
     return out
-
-
-def poisson_cosh_cumulant(lam: float, theta):
-    """Alternative constant-shifted integer-comparison cumulant lam*(cosh t - 1).
-
-    Kept for comparison only: it is what one gets by averaging the two
-    one-sided cumulant functions instead of the moment generating functions,
-    and it does not match the symmetrized probability mass function that the
-    samplers and likelihoods here are built on. :meth:`RootLaw.cumulant` is
-    the consistent form.
-    """
-    return lam * (np.cosh(theta) - 1.0)
 
 
 _FAMILY_PARAMS = {

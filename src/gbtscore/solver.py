@@ -161,45 +161,41 @@ def loss(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix, theta) -> f
 def gradient(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix, theta) -> np.ndarray:
     """Component a: theta_a / sigma^2 + sum_b (Phi'(theta_ab) - r_ab)."""
     t = _theta_array(matrix, theta)
-    i, j, r = matrix.index_arrays
-    g = prior.inv_sigma_sq * t
-    edge = law.cumulant_prime(t[i] - t[j]) - r
-    np.add.at(g, i, edge)
-    np.add.at(g, j, -edge)
-    return g
-
-
-def _hessian_weights(law, matrix, t):
     i, j, _ = matrix.index_arrays
-    return i, j, law.cumulant_double_prime(t[i] - t[j])
+    return _gradient(prior, matrix, t, law.cumulant_prime(t[i] - t[j]))
+
+
+def _gradient(prior, matrix, t, mean):
+    """The gradient from the edge means Phi'(theta_i - theta_j)."""
+    i, j, r = matrix.index_arrays
+    edge = mean - r
+    return prior.inv_sigma_sq * t + np.bincount(i, edge, t.size) - np.bincount(j, edge, t.size)
 
 
 def hessian(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix, theta):
     """Sparse symmetric Hessian: 1/sigma^2 + sum_b Phi'' on the diagonal,
     -Phi'' on compared pairs. Strictly diagonally dominant for finite sigma^2."""
     t = _theta_array(matrix, theta)
+    i, j, _ = matrix.index_arrays
+    return _hessian_matrix(prior, matrix, law.cumulant_double_prime(t[i] - t[j]), dense=False)
+
+
+def _hessian_matrix(prior, matrix, weights, dense):
+    """1/sigma^2 plus the incident pair weights on the diagonal, -weight on
+    each compared pair; a dense array when ``dense``, else CSR."""
     a = len(matrix.alternatives)
-    i, j, w = _hessian_weights(law, matrix, t)
-    diag = np.full(a, prior.inv_sigma_sq)
-    np.add.at(diag, i, w)
-    np.add.at(diag, j, w)
+    i, j, _ = matrix.index_arrays
+    diag = prior.inv_sigma_sq + np.bincount(i, weights, a) + np.bincount(j, weights, a)
+    if dense:
+        # pairs are unique with i < j, so every key i*a + j is hit once
+        h = np.bincount(i * a + j, -weights, a * a).reshape(a, a)
+        h += h.T
+        h.flat[::a + 1] = diag
+        return h
     rows = np.concatenate([np.arange(a), i, j])
     cols = np.concatenate([np.arange(a), j, i])
-    vals = np.concatenate([diag, -w, -w])
+    vals = np.concatenate([diag, -weights, -weights])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(a, a))
-
-
-def _hessian_dense(law, prior, matrix, t):
-    a = len(matrix.alternatives)
-    i, j, w = _hessian_weights(law, matrix, t)
-    h = np.zeros((a, a))
-    np.add.at(h, (i, j), -w)
-    np.add.at(h, (j, i), -w)
-    diag = np.full(a, prior.inv_sigma_sq)
-    np.add.at(diag, i, w)
-    np.add.at(diag, j, w)
-    h[np.arange(a), np.arange(a)] = diag
-    return h
 
 
 def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
@@ -224,8 +220,8 @@ def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
 
-def _solve_newton_system(law, prior, matrix, t, g, options):
-    a = t.size
+def _solve_newton_system(prior, matrix, weights, g, options):
+    a = g.size
     use_dense = options.linear_solver == "cholesky" or (
         options.linear_solver == "auto" and a <= _DENSE_LIMIT)
     gauge = 0.0
@@ -235,8 +231,8 @@ def _solve_newton_system(law, prior, matrix, t, g, options):
         # Newton step is unchanged on the zero-sum subspace)
         gauge = 1.0
 
+    h = _hessian_matrix(prior, matrix, weights, use_dense)
     if use_dense:
-        h = _hessian_dense(law, prior, matrix, t)
         if gauge:
             h += (h.diagonal().mean() / a) * np.ones((a, a))
         try:
@@ -245,7 +241,6 @@ def _solve_newton_system(law, prior, matrix, t, g, options):
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"Cholesky factorization failed: {exc}") from exc
 
-    h = hessian(law, prior, matrix, t)
     diag = h.diagonal()
     scale = diag.mean() / a
     if gauge:
@@ -273,6 +268,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
         raise SolverError("the unregularized variant requires a connected comparison graph")
 
     a = len(matrix.alternatives)
+    i, j, _ = matrix.index_arrays
     t = np.zeros(a)
     current = loss(law, prior, matrix, t)
     trail: list[np.ndarray] | None = [] if options.track_iterates else None
@@ -282,7 +278,10 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
         return 2.0 * prior.sigma_sq * gn if prior.is_regularized else math.inf
 
     while True:
-        g = gradient(law, prior, matrix, t)
+        # one tilted_moments pass per accepted iterate feeds the gradient and
+        # the Hessian; the line search's trial points need Phi alone (loss)
+        mean, var = law.tilted_moments(t[i] - t[j])
+        g = _gradient(prior, matrix, t, mean)
         gn = float(np.linalg.norm(g))
         if trail is not None:
             trail.append(t.copy())
@@ -299,7 +298,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                 f"no convergence after {iterations} iterations "
                 f"(gradient norm {gn:.3e})", report=report)
 
-        step = _solve_newton_system(law, prior, matrix, t, g, options)
+        step = _solve_newton_system(prior, matrix, var, g, options)
         descent = float(g @ step)
         if not descent < 0:
             report = SolveReport(iterations, gn, err, False, current, trail)
@@ -346,21 +345,13 @@ def map_estimate_gaussian(sigma0_sq: float, prior: PriorConfig,
         raise ParameterError("cannot estimate scores from an empty comparison set")
     a = len(matrix.alternatives)
     i, j, r = matrix.index_arrays
-    rbar = np.zeros(a)
-    np.add.at(rbar, i, r)
-    np.add.at(rbar, j, -r)
-    if a <= _DENSE_LIMIT:
-        m = np.zeros((a, a))
-        np.add.at(m, (i, j), -sigma0_sq)
-        np.add.at(m, (j, i), -sigma0_sq)
-        m[np.arange(a), np.arange(a)] = prior.inv_sigma_sq + sigma0_sq * matrix.degrees
+    rbar = np.bincount(i, r, a) - np.bincount(j, r, a)
+    dense = a <= _DENSE_LIMIT
+    m = _hessian_matrix(prior, matrix, np.full(i.size, sigma0_sq), dense)
+    if dense:
         values = scipy.linalg.solve(m, rbar, assume_a="pos")
     else:
-        diag = prior.inv_sigma_sq + sigma0_sq * matrix.degrees
-        rows = np.concatenate([np.arange(a), i, j])
-        cols = np.concatenate([np.arange(a), j, i])
-        vals = np.concatenate([diag, np.full(i.size, -sigma0_sq), np.full(i.size, -sigma0_sq)])
-        m = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(a, a))
+        diag = m.diagonal()
         pre = LinearOperator((a, a), matvec=lambda x: x / diag)
         values, info = sparse_cg(m, rbar, rtol=1e-12, atol=0.0, M=pre, maxiter=100 * a)
         if info != 0:

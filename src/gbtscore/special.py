@@ -3,9 +3,10 @@
 The cumulant functions of the bounded comparison models reduce to a handful
 of scalar functions (log(sinh x / x), the Langevin function, their
 derivatives) that are 0/0 at the origin and overflow-prone for large
-arguments. Each helper here evaluates a truncated Taylor series near zero,
-the direct formula in the midrange, and an asymptotic form where the direct
-formula would overflow. All accept scalars or ndarrays elementwise.
+arguments. Each helper here evaluates a truncated Taylor series near zero
+and a direct formula beyond it, written either with an asymptotic tail or in
+terms of exp(-2|x|), which underflows instead of overflowing. All accept
+scalars or ndarrays elementwise.
 """
 
 from __future__ import annotations
@@ -43,20 +44,6 @@ def log_cosh(x):
     return np.logaddexp(x, -x) - _LOG2
 
 
-def sech_sq(x):
-    """1 / cosh(x)^2 without overflow; underflows to 0 beyond |x| ~ 354."""
-    u = np.exp(-np.abs(x))
-    s = 2.0 * u / (1.0 + u * u)
-    return s * s
-
-
-def csch_sq(x):
-    """1 / sinh(x)^2 for |x| bounded away from 0 (callers guard the origin)."""
-    ax = np.abs(x)
-    e = np.expm1(-2.0 * ax)
-    return 4.0 * np.exp(-2.0 * ax) / (e * e)
-
-
 def log_sinhc(x):
     """log(sinh x / x); even, equals 0 at the origin.
 
@@ -80,33 +67,32 @@ def log_sinhc(x):
     return _unwrap(x, out)
 
 
-def langevin(x):
-    """coth(x) - 1/x; odd, strictly increasing, image (-1, 1)."""
+def langevin_pair(x):
+    """(L(x), L'(x)) for the Langevin function L(x) = coth(x) - 1/x.
+
+    L is odd, strictly increasing, with image (-1, 1); L'(x) = 1/x^2 - csch(x)^2
+    is even and 1/3 at the origin. Series below 0.2; above it both share one
+    e = exp(-2|x|) per argument: coth = (1 + e) / (1 - e) and
+    csch^2 = 4e / (1 - e)^2. Large arguments underflow e to 0 and reach the
+    limits L = 1, L' = 0 without overflow.
+    """
     xs = np.asarray(x, dtype=float)
+    ax = np.abs(xs)
+    lang = np.empty_like(ax)
+    deriv = np.empty_like(ax)
 
-    def series(a):
+    small = ax < 0.2
+    if np.any(small):
+        a = ax[small]
         p = a * a
-        return a * (1 / 3 + p * (-1 / 45 + p * (2 / 945 + p * (-1 / 4725 + p * (2 / 93555)))))
-
-    out = _dispatch(x, [
-        (lambda a: a < 0.2, series),
-        (lambda a: np.isfinite(a), lambda a: 1.0 / np.tanh(a) - 1.0 / a),
-        (lambda a: ~np.isfinite(a), lambda a: np.ones_like(a)),
-    ])
-    out = out * np.sign(xs)
-    return _unwrap(x, out)
-
-
-def langevin_deriv(x):
-    """d/dx (coth x - 1/x) = 1/x^2 - csch(x)^2; even, 1/3 at the origin."""
-
-    def series(a):
-        p = a * a
-        return 1 / 3 + p * (-1 / 15 + p * (2 / 189 + p * (-1 / 675 + p * (2 / 10395))))
-
-    out = _dispatch(x, [
-        (lambda a: a < 0.2, series),
-        (lambda a: np.isfinite(a), lambda a: 1.0 / (a * a) - csch_sq(a)),
-        (lambda a: ~np.isfinite(a), lambda a: np.zeros_like(a)),
-    ])
-    return _unwrap(x, out)
+        lang[small] = a * (1 / 3 + p * (-1 / 45 + p * (2 / 945 + p * (-1 / 4725 + p * (2 / 93555)))))
+        deriv[small] = 1 / 3 + p * (-1 / 15 + p * (2 / 189 + p * (-1 / 675 + p * (2 / 10395))))
+    big = ~small
+    if np.any(big):
+        a = ax[big]
+        e = np.exp(-2.0 * a)
+        gap = 1.0 - e
+        inv = 1.0 / a
+        lang[big] = (1.0 + e) / gap - inv
+        deriv[big] = inv * inv - 4.0 * e / (gap * gap)
+    return _unwrap(x, lang * np.sign(xs)), _unwrap(x, deriv)

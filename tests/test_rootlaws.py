@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SPECS, bounded_series_mgf, oracle_moments, pochhammer
-from gbtscore import (Family, ParameterError, RootLaw, parse_model_spec,
-                      poisson_cosh_cumulant)
+from gbtscore import Family, ParameterError, RootLaw, parse_model_spec
+from gbtscore.rootlaws import _beta_rule_size, _jacobi_rule
 
 GRID = np.linspace(-8.0, 8.0, 161)
 
@@ -171,14 +171,6 @@ class TestCumulantValues:
             assert law.cumulant_prime(theta) == pytest.approx(mean, rel=1e-10, abs=1e-10)
             assert law.cumulant_double_prime(theta) == pytest.approx(var, rel=1e-10, abs=1e-10)
 
-    def test_integer_law_alternative_form_differs(self):
-        # the constant-shifted cosh form is not the pmf-consistent cumulant
-        law = RootLaw.poisson(1.0)
-        alt = poisson_cosh_cumulant(1.0, 1.0)
-        assert alt == pytest.approx(math.cosh(1.0) - 1.0)
-        assert abs(law.cumulant(1.0) - alt) > 0.5
-        assert poisson_cosh_cumulant(1.0, 0.0) == 0.0
-
     def test_beta_series_variants(self):
         """The printed product-index variants of the series disagree with
         quadrature; the rescaled series with the k-term Pochhammer product
@@ -208,6 +200,73 @@ class TestCumulantValues:
                            RootLaw.uniform().cumulant(theta), rtol=0, atol=1e-12)
         assert np.allclose(RootLaw.beta_law(2.0).cumulant(theta),
                            RootLaw.beta_two().cumulant(theta), rtol=0, atol=1e-12)
+
+
+# 0, a tiny tilt, every branch switch of the series/direct/asymptotic forms
+# (0.2, 0.5, 1, 30, 500) and the edge of exp's range
+MOMENT_POINTS = (0.0, 1e-12, 0.2, 0.5, 1.0, 3.0, 8.0, 30.0, 500.0, 700.0)
+
+
+class TestTiltedMoments:
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_matches_oracle(self, spec):
+        law = parse_model_spec(spec)
+        points = MOMENT_POINTS
+        if law.family == Family.POISSON:
+            # the oracle's integer grid grows like lambda e^|t|
+            points = tuple(p for p in points if p <= 12.0) + (12.0,)
+        for magnitude in points:
+            for theta in (magnitude, -magnitude):
+                _, mean, var = oracle_moments(law, theta)
+                got_mean, got_var = law.tilted_moments(theta)
+                assert isinstance(got_mean, float) and isinstance(got_var, float)
+                assert got_mean == pytest.approx(mean, rel=1e-9, abs=1e-13)
+                assert got_var == pytest.approx(var, rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_array_form_and_views(self, spec):
+        law = parse_model_spec(spec)
+        theta = np.array([-30.0, -1.0, -1e-12, 0.0, 0.2, 0.5, 1.0, 30.0])
+        mean, var = law.tilted_moments(theta)
+        assert mean.shape == var.shape == theta.shape
+        assert np.array_equal(mean, law.cumulant_prime(theta))
+        assert np.array_equal(var, law.cumulant_double_prime(theta))
+        assert np.array_equal(mean, -law.tilted_moments(-theta)[0])
+        assert np.all(var >= 0.0)
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "knary:K=5", "gaussian:sigma0sq=1.0",
+                                      "uniform", "beta2"])
+    def test_small_tilt_mean_keeps_relative_precision(self, spec):
+        # Phi'(t) = Phi''(0) t + O(t^3): no cancellation at tiny tilts
+        law = parse_model_spec(spec)
+        slope = law.tilted_moments(0.0)[1]
+        for t in (1e-12, 1e-9, 1e-6):
+            assert law.tilted_moments(t)[0] == pytest.approx(slope * t, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * 4096 + 5])
+    def test_blocked_quadrature_matches_unblocked(self, size):
+        law = RootLaw.beta_law(2.5)
+        a = np.abs(np.random.default_rng(size).normal(0.0, 3.0, size))
+        x, w, wsum = _jacobi_rule(2.5, _beta_rule_size(a.max()))
+        table = np.exp((x - 1.0)[:, None] * a)
+        sums = np.stack([w, w * x, w * x * x]) @ table
+        mean = sums[1] / sums[0]
+        expected = (np.log(sums[0]) + a - math.log(wsum), mean, sums[2] / sums[0] - mean * mean,
+                    np.log(w @ table) + a - math.log(wsum))
+        got = (*law._beta_moments(a), law._beta_moments(a, full=False))
+        for g, e in zip(got, expected):
+            if size <= 4096:
+                # one block: the very same products as the unblocked table
+                assert np.array_equal(g, e)
+            else:
+                # BLAS may round a short tail block differently (a few ulp)
+                np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-14)
+
+    def test_beta_phi_matches_full_pass(self):
+        law = RootLaw.beta_law(0.7)
+        theta = np.linspace(-40.0, 40.0, 81)
+        full = law._beta_moments(np.abs(theta))[0]
+        assert np.allclose(law.cumulant(theta), full, rtol=1e-14, atol=1e-15)
 
 
 class TestSupportPoints:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SPECS
 from gbtscore import (AlternativeSet, ComparisonMatrix, ParameterError,
@@ -11,6 +13,7 @@ from gbtscore import (AlternativeSet, ComparisonMatrix, ParameterError,
                       SolverOptions, connected_components, gradient, hessian,
                       loss, map_estimate, map_estimate_gaussian,
                       parse_model_spec)
+from gbtscore import solver
 from gbtscore.sim import (erdos_renyi_graph, sample_ground_truth,
                           synthesize_comparisons)
 
@@ -131,7 +134,46 @@ class TestHessian:
         assert np.all(np.linalg.eigvalsh(h) > 0)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dense_assembler_matches_sparse_hessian(data):
+    n = data.draw(st.integers(2, 9))
+    keep = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2))
+    if not any(keep):
+        keep[0] = True
+    spec = data.draw(st.sampled_from(ALL_SPECS))
+    law = parse_model_spec(spec)
+    value = 1.0 if law.family.value == "poisson" else 0.5
+    alts = AlternativeSet.from_ids([f"a{k}" for k in range(n)])
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    m = ComparisonMatrix(alts, [(f"a{a}", f"a{b}", value)
+                                for (a, b), k in zip(pairs, keep) if k], law=law)
+    theta = np.array(data.draw(st.lists(st.floats(-20, 20), min_size=n, max_size=n)))
+    prior = PriorConfig(data.draw(st.sampled_from([0.01, 1.0, 1e6, math.inf])))
+    i, j, _ = m.index_arrays
+    dense = solver._hessian_matrix(prior, m, law.cumulant_double_prime(theta[i] - theta[j]), True)
+    np.testing.assert_allclose(dense, hessian(law, prior, m, theta).toarray(), rtol=0, atol=1e-12)
+
+
 class TestMapEstimate:
+    def test_beta_solve_runs_one_full_quadrature_per_iterate(self, monkeypatch):
+        passes = []
+        quadrature = RootLaw._beta_moments
+
+        def counted(self, a, full=True):
+            passes.append(full)
+            return quadrature(self, a, full)
+
+        monkeypatch.setattr(RootLaw, "_beta_moments", counted)
+        law = RootLaw.beta_law(2.5)
+        m = random_instance(law, 40, 0.3, 17, truth_scale=2.0)
+        _, report = map_estimate(law, PriorConfig(1.0), m, TIGHT)
+        assert report.iterations >= 3
+        assert passes.count(True) == report.iterations + 1
+        # Phi-only passes: the start point and at least one trial per iterate
+        assert passes.count(False) >= report.iterations + 1
+
     def test_zero_comparisons_give_zero_scores(self):
         alts = AlternativeSet.from_ids(["p", "q", "s"])
         m = ComparisonMatrix(alts, [("p", "q", 0.0), ("q", "s", 0.0)])
@@ -265,6 +307,14 @@ class TestGaussianClosedForm:
             direct = map_estimate_gaussian(law.sigma0_sq, PriorConfig(0.8), m)
             newton, _ = map_estimate(law, PriorConfig(0.8), m, TIGHT)
             assert np.abs(direct.values - newton.values).max() < 1e-8
+
+    def test_sparse_path_matches_dense(self, monkeypatch):
+        law = RootLaw.gaussian(1.4)
+        m = random_instance(law, 30, 0.3, 5)
+        dense = map_estimate_gaussian(1.4, PriorConfig(0.7), m)
+        monkeypatch.setattr(solver, "_DENSE_LIMIT", 10)
+        sparse = map_estimate_gaussian(1.4, PriorConfig(0.7), m)
+        assert np.abs(dense.values - sparse.values).max() < 1e-10
 
 
 class TestCertifiedStopping:
