@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import expit, gammaln, roots_jacobi
 
 from .errors import ParameterError
-from .special import langevin_pair, log_cosh, log_sinhc
+from .special import csch_sq, langevin_pair, log_cosh, log_sinhc
 
 __all__ = ["Family", "RootLaw", "parse_model_spec"]
 
@@ -269,16 +269,28 @@ class RootLaw:
             return np.tanh(a), 4.0 * e / ((1.0 + e) * (1.0 + e))
         if fam == Family.KNARY:
             k, km1 = self.k, self.k - 1
+            x = a / km1
             lang_k, deriv_k = langevin_pair(k * a / km1)
-            lang_1, deriv_1 = langevin_pair(a / km1)
-            return (k * lang_k - lang_1) / km1, (k * k * deriv_k - deriv_1) / (km1 * km1)
+            lang_1, deriv_1 = langevin_pair(x)
+            var = (k * k * deriv_k - deriv_1) / (km1 * km1)
+            # the 1/x^2 terms of k^2 L'(kx) - L'(x) cancel analytically; past
+            # langevin_pair's series cut-off the rest, csch^2(x) - k^2 csch^2(kx),
+            # keeps the variance's relative precision at large tilts
+            big = x >= 0.2
+            if np.any(big):
+                xb = x[big]
+                var[big] = (csch_sq(xb) - k * k * csch_sq(k * xb)) / (km1 * km1)
+            return (k * lang_k - lang_1) / km1, var
         if fam == Family.POISSON:
             p = self.lam * np.exp(a)
             q = self.lam * np.exp(-a)
             w = expit(p - q)
             spread = w * (1.0 - w)
             quad = np.where(spread > 0.0, spread * (p + q) * (p + q), 0.0)
-            return w * p - (1.0 - w) * q, w * p + (1.0 - w) * q + quad
+            # the mean w p - (1 - w) q as lam sinh(a) + lam cosh(a) tanh(lam sinh(a)),
+            # which does not cancel at tiny tilts
+            half_gap = self.lam * np.sinh(a)
+            return half_gap + 0.5 * (p + q) * np.tanh(half_gap), w * p + (1.0 - w) * q + quad
         if fam == Family.GAUSSIAN:
             return self.sigma0_sq * a, np.full_like(a, self.sigma0_sq)
         if fam == Family.UNIFORM:

@@ -255,9 +255,15 @@ def _solve_newton_system(prior, matrix, weights, g, options):
 
 
 def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
-                 options: SolverOptions | None = None) -> tuple[ScoreVector, SolveReport]:
+                 options: SolverOptions | None = None,
+                 initial=None) -> tuple[ScoreVector, SolveReport]:
     """Minimize the posterior loss; returns the scores and a certified report.
 
+    Newton starts from ``initial`` (a ScoreVector or an array over the
+    matrix's alternatives, finite) when given, else from zero; under
+    ``sigma_sq=inf`` the start is re-centred to zero sum. The stopping rule
+    and the certificate use the true gradient at the returned point, so a
+    start changes the Newton path, never what the report certifies.
     Deterministic in its inputs. Raises SolverError (carrying the partial
     report) on non-convergence within ``max_iterations`` or on NaN loss.
     """
@@ -267,9 +273,15 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
     if not prior.is_regularized and len(connected_components(matrix)) > 1:
         raise SolverError("the unregularized variant requires a connected comparison graph")
 
-    a = len(matrix.alternatives)
     i, j, _ = matrix.index_arrays
-    t = np.zeros(a)
+    if initial is None:
+        t = np.zeros(len(matrix.alternatives))
+    else:
+        t = _theta_array(matrix, initial)
+        if not np.all(np.isfinite(t)):
+            raise ParameterError("initial scores must be finite")
+        if not prior.is_regularized:
+            t = t - t.mean()
     current = loss(law, prior, matrix, t)
     trail: list[np.ndarray] | None = [] if options.track_iterates else None
     iterations = 0

@@ -4,9 +4,9 @@ The cumulant functions of the bounded comparison models reduce to a handful
 of scalar functions (log(sinh x / x), the Langevin function, their
 derivatives) that are 0/0 at the origin and overflow-prone for large
 arguments. Each helper here evaluates a truncated Taylor series near zero
-and a direct formula beyond it, written either with an asymptotic tail or in
-terms of exp(-2|x|), which underflows instead of overflowing. All accept
-scalars or ndarrays elementwise.
+and a direct formula beyond it, written in terms of exp(-2|x|), which
+underflows instead of overflowing. All accept scalars or ndarrays
+elementwise.
 """
 
 from __future__ import annotations
@@ -14,23 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 _LOG2 = float(np.log(2.0))
-
-
-def _dispatch(x, pieces):
-    """Evaluate (mask_fn, value_fn) pieces on |x| and reassemble.
-
-    ``pieces`` are tried in order on the absolute value; the first matching
-    mask wins. Returns an array shaped like x (caller unwraps scalars).
-    """
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(ax)
-    remaining = np.ones(ax.shape, dtype=bool)
-    for mask_fn, value_fn in pieces:
-        m = remaining & mask_fn(ax)
-        if np.any(m):
-            out[m] = value_fn(ax[m])
-        remaining &= ~m
-    return out
 
 
 def _unwrap(x, out):
@@ -47,24 +30,29 @@ def log_cosh(x):
 def log_sinhc(x):
     """log(sinh x / x); even, equals 0 at the origin.
 
-    Series below 0.5, direct formula to 30, then the asymptotic form
-    |x| - log(2|x|) + log1p(-exp(-2|x|)) which never overflows.
+    Series below 0.5; beyond it the identity
+    |x| - log 2 - log|x| + log1p(-exp(-2|x|)), which never overflows.
+    log_sinhc(inf) = inf.
     """
-
-    def series(a):
-        p = a * a
-        # sinh(x)/x - 1 = x^2/3! + x^4/5! + ...  (through x^14, exact at 0.5)
-        s = p * (1 / 6 + p * (1 / 120 + p * (1 / 5040 + p * (1 / 362880
-            + p * (1 / 39916800 + p * (1 / 6227020800 + p / 1307674368000))))))
-        return np.log1p(s)
-
-    out = _dispatch(x, [
-        (lambda a: a < 0.5, series),
-        (lambda a: a < 30.0, lambda a: np.log(np.sinh(a) / a)),
-        (lambda a: np.isfinite(a), lambda a: a - np.log(2.0 * a) + np.log1p(-np.exp(-2.0 * a))),
-        (lambda a: ~np.isfinite(a), lambda a: a),
-    ])
+    ax = np.abs(np.asarray(x, dtype=float))
+    small = ax < 0.5
+    if np.all(small):
+        # typical of knary's log_sinhc(t / (K - 1)) at large K: no tail work
+        return _unwrap(x, _log_sinhc_series(ax))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.asarray(ax - _LOG2 - np.log(ax) + np.log1p(-np.exp(-2.0 * ax)))
+    out[np.isinf(ax)] = np.inf
+    if np.any(small):
+        out[small] = _log_sinhc_series(ax[small])
     return _unwrap(x, out)
+
+
+def _log_sinhc_series(a):
+    p = a * a
+    # sinh(x)/x - 1 = x^2/3! + x^4/5! + ...  (through x^14, exact at 0.5)
+    s = p * (1 / 6 + p * (1 / 120 + p * (1 / 5040 + p * (1 / 362880
+        + p * (1 / 39916800 + p * (1 / 6227020800 + p / 1307674368000))))))
+    return np.log1p(s)
 
 
 def langevin_pair(x):
@@ -96,3 +84,9 @@ def langevin_pair(x):
         lang[big] = (1.0 + e) / gap - inv
         deriv[big] = inv * inv - 4.0 * e / (gap * gap)
     return _unwrap(x, lang * np.sign(xs)), _unwrap(x, deriv)
+
+
+def csch_sq(x):
+    """csch(x)^2 = 4e / (1 - e)^2 with e = exp(-2|x|), for x != 0; 0 at infinity."""
+    e = np.exp(-2.0 * np.abs(x))
+    return 4.0 * e / ((1.0 - e) * (1.0 - e))

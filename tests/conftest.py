@@ -45,10 +45,12 @@ def _moments_from_logweights(points, logw, theta):
     w = np.exp(tilted - peak)
     z = w.sum()
     mean = float((w * points).sum() / z)
-    second = float((w * points * points).sum() / z)
+    # centred second moment: E[r^2] - mean^2 cancels when the tilted law
+    # sits on one support point (variance ~ e^-|theta| at large tilts)
+    var = float((w * (points - mean) ** 2).sum() / z)
     base = logw.max() + math.log(np.exp(logw - logw.max()).sum())
     phi = float(peak + math.log(z) - base)
-    return phi, mean, second - mean * mean
+    return phi, mean, var
 
 
 def _moments_from_weight(wfun, lo, hi, theta):

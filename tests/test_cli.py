@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbtscore
 from gbtscore import read_comparisons_csv, read_scores_csv
 from gbtscore.cli import main
 
@@ -71,6 +76,17 @@ class TestFit:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"), "--model", "uniform"]) == 2
+
+    @pytest.mark.parametrize("module", ["gbtscore", "gbtscore.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, module):
+        src = str(Path(gbtscore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = ["fit", "--input", "missing.csv", "--model", "bernoulli"]
+        done = subprocess.run([sys.executable, "-m", module, *command], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "missing.csv" in done.stderr
 
     def test_non_utf8_bytes_exit_2(self, tmp_path, capsys):
         inp = tmp_path / "latin.csv"

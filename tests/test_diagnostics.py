@@ -12,6 +12,7 @@ from gbtscore import (AlternativeSet, ComparisonMatrix, EditError, PriorConfig,
                       map_estimate, measure_resilience, monotonicity_sweep,
                       neutral_comparison, parse_model_spec, resilience_bound,
                       write_probe_csv)
+from gbtscore import diagnostics
 from gbtscore.sim import (erdos_renyi_graph, sample_ground_truth,
                           synthesize_comparisons)
 
@@ -26,6 +27,20 @@ def instance(law, n, edge_prob, seed):
             break
     truth = sample_ground_truth(n, 1.0, rng)
     return synthesize_comparisons(law, truth, pairs, rng)
+
+
+def newton_iterations(monkeypatch, run, cold):
+    """run()'s result and the Newton iterations of each diagnostics solve;
+    ``cold`` drops every warm start."""
+    iterations = []
+
+    def counted(*args, initial=None, **kwargs):
+        vec, rep = map_estimate(*args, initial=None if cold else initial, **kwargs)
+        iterations.append(rep.iterations)
+        return vec, rep
+
+    monkeypatch.setattr(diagnostics, "map_estimate", counted)
+    return run(), iterations
 
 
 class TestConditionalMoments:
@@ -103,6 +118,20 @@ class TestMonotoneStep:
                 assert res.passed, (spec, res)
                 assert res.margin_other < 0.0
 
+    def test_sweep_warm_starts_save_newton_iterations(self, monkeypatch):
+        law = RootLaw.knary(5)
+        m = instance(law, 30, 0.2, 29)
+        prior = PriorConfig(1.0)
+        warm, warm_iterations = newton_iterations(
+            monkeypatch, lambda: monotonicity_sweep(law, prior, m), cold=False)
+        cold, cold_iterations = newton_iterations(
+            monkeypatch, lambda: monotonicity_sweep(law, prior, m), cold=True)
+        assert len(warm_iterations) == len(cold_iterations) == len(warm) + 1 > 30
+        assert sum(warm_iterations) < sum(cold_iterations)
+        for w, c in zip(warm, cold):
+            assert w.passed and c.passed
+            assert abs(w.margin - c.margin) <= w.certified_error + c.certified_error
+
 
 class TestResilience:
     @pytest.mark.parametrize("spec", BOUNDED_SPECS)
@@ -114,6 +143,22 @@ class TestResilience:
         assert 0.0 < probe.observed_ratio < probe.bound
         assert len(probe.records) == 40
         assert all(r.delta_distance == 1 for r in probe.records)
+
+    def test_edit_probes_warm_start_from_the_base(self, monkeypatch):
+        law = RootLaw.knary(5)
+        base = instance(law, 30, 0.2, 29)
+        config = ResilienceProbeConfig(n_probes=20, seed=3)
+
+        def run():
+            return measure_resilience(law, PriorConfig(1.0), config, base=base)
+
+        warm, warm_iterations = newton_iterations(monkeypatch, run, cold=False)
+        cold, cold_iterations = newton_iterations(monkeypatch, run, cold=True)
+        assert len(warm_iterations) == len(cold_iterations) == 21
+        assert sum(warm_iterations) < sum(cold_iterations)
+        for w, c in zip(warm.records, cold.records):
+            assert (w.edit_kind, w.pair, w.delta_distance) == (c.edit_kind, c.pair, c.delta_distance)
+            assert w.l2_change == pytest.approx(c.l2_change, rel=0.0, abs=4e-8)
 
     def test_multi_edit_probes(self):
         law = RootLaw.uniform()

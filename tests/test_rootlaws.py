@@ -234,8 +234,18 @@ class TestTiltedMoments:
         assert np.array_equal(mean, -law.tilted_moments(-theta)[0])
         assert np.all(var >= 0.0)
 
-    @pytest.mark.parametrize("spec", ["bernoulli", "knary:K=5", "gaussian:sigma0sq=1.0",
-                                      "uniform", "beta2"])
+    @pytest.mark.parametrize("theta", [30.0, 700.0])
+    def test_knary_variance_keeps_relative_precision_at_large_tilts(self, theta):
+        # Phi''(700) is about 2.5e-153, so only a relative test sees an
+        # absolute error of 1e-21 (or one of 2e-19 at theta=30)
+        law = RootLaw.knary(5)
+        _, mean, var = oracle_moments(law, theta)
+        got_mean, got_var = law.tilted_moments(theta)
+        assert got_mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert got_var == pytest.approx(var, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "knary:K=5", "poisson:lambda=1.0",
+                                      "gaussian:sigma0sq=1.0", "uniform", "beta2"])
     def test_small_tilt_mean_keeps_relative_precision(self, spec):
         # Phi'(t) = Phi''(0) t + O(t^3): no cancellation at tiny tilts
         law = parse_model_spec(spec)

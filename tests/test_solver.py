@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SPECS
-from gbtscore import (AlternativeSet, ComparisonMatrix, ParameterError,
-                      PriorConfig, RootLaw, ScoreVector, SolverError,
+from gbtscore import (AlternativeSet, ComparisonMatrix, MismatchError,
+                      ParameterError, PriorConfig, RootLaw, ScoreVector, SolverError,
                       SolverOptions, connected_components, gradient, hessian,
                       loss, map_estimate, map_estimate_gaussian,
                       parse_model_spec)
@@ -265,6 +265,65 @@ class TestMapEstimate:
         # certified tolerance scales with sigma^2, so loosen it accordingly
         big, _ = map_estimate(law, PriorConfig(1e6), m, SolverOptions(tolerance=1e-5))
         assert np.abs(free.values - big.values).max() < 1e-4
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_warm_start_agrees_with_cold(data):
+    law = parse_model_spec(data.draw(st.sampled_from(ALL_SPECS)))
+    n = data.draw(st.integers(2, 9))
+    edge_prob = data.draw(st.floats(0.2, 1.0))
+    m = random_instance(law, n, edge_prob, data.draw(st.integers(0, 10**6)))
+    sigma_sq = data.draw(st.sampled_from([0.01, 1.0, 1e6]))
+    # the certified bound 2 sigma^2 ||grad|| cannot drop far below sigma^2 times
+    # the gradient's rounding floor, so the tolerance grows with sigma^2
+    options = SolverOptions(tolerance=1e-8 * max(1.0, sigma_sq))
+    start = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    prior = PriorConfig(sigma_sq)
+    cold, cold_rep = map_estimate(law, prior, m, options)
+    warm, warm_rep = map_estimate(law, prior, m, options, initial=start)
+    assert cold_rep.certified_error <= options.tolerance
+    assert warm_rep.certified_error <= options.tolerance
+    assert np.linalg.norm(warm.values - cold.values) <= 2.0 * options.tolerance
+
+
+class TestWarmStart:
+    def test_start_at_optimum_takes_no_step(self):
+        law = RootLaw.knary(5)
+        m = random_instance(law, 12, 0.5, 23)
+        solved, report = map_estimate(law, PriorConfig(1.0), m, TIGHT)
+        assert report.iterations > 0
+        again, rep = map_estimate(law, PriorConfig(1.0), m, TIGHT, initial=solved)
+        assert rep.iterations == 0 and rep.converged
+        assert again == solved
+
+    def test_mismatched_start_rejected(self):
+        law = RootLaw.uniform()
+        m = random_instance(law, 6, 0.8, 5)
+        other = ScoreVector(AlternativeSet.from_ids([f"z{k}" for k in range(6)]), np.zeros(6))
+        for bad in (other, np.zeros(5), np.zeros((6, 1))):
+            with pytest.raises(MismatchError):
+                map_estimate(law, PriorConfig(1.0), m, initial=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        law = RootLaw.uniform()
+        m = random_instance(law, 6, 0.8, 5)
+        start = np.zeros(6)
+        start[2] = bad
+        with pytest.raises(ParameterError):
+            map_estimate(law, PriorConfig(1.0), m, initial=start)
+
+    def test_unregularized_start_is_recentred(self):
+        law = RootLaw.uniform()
+        m = random_instance(law, 7, 0.9, 17)
+        options = SolverOptions(tolerance=1e-12)
+        cold, _ = map_estimate(law, PriorConfig(math.inf), m, options)
+        warm, rep = map_estimate(law, PriorConfig(math.inf), m, options,
+                                 initial=cold.values + 5.0)
+        assert abs(warm.values.sum()) < 1e-9
+        assert rep.iterations <= 1
+        assert np.abs(warm.values - cold.values).max() < 1e-9
 
 
 class TestGaussianClosedForm:

@@ -80,3 +80,10 @@ def test_scalar_and_array_forms():
     out = log_sinhc(np.array([0.0, 1.0, 40.0]))
     assert out.shape == (3,)
     assert out[0] == 0.0
+
+
+def test_log_sinhc_extreme_arguments():
+    # log(sinh x / x) = x - log(2x) + log1p(-e^(-2x)) grows without bound
+    assert log_sinhc(math.inf) == math.inf and log_sinhc(-math.inf) == math.inf
+    big = np.array([700.0, 1e308])
+    np.testing.assert_allclose(log_sinhc(big), big - np.log(2.0) - np.log(big), rtol=1e-15)
