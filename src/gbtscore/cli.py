@@ -54,7 +54,6 @@ class RunManifest:
     seed: int | None
     tolerance: float
     max_iterations: int
-    threads: int
     version: str = __version__
 
     def write(self, out_dir: Path) -> Path:
@@ -74,7 +73,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, default=1e-8,
                         help="certified l2 solver tolerance")
     parser.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
-    parser.add_argument("--threads", type=int, default=1, help="seed-level parallelism")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
 
 
@@ -150,20 +148,25 @@ def _apply_config_file(parser, argv):
                 key, eq, value = line.partition("=")
                 if not eq:
                     raise InputError(f"expected key=value, got {line!r}", row=lineno)
-                defaults[key.strip().replace("-", "_")] = value.strip()
+                defaults[key.strip().replace("-", "_")] = (value.strip(), lineno)
     except OSError as exc:
         raise InputError(f"cannot read config file {known.config!r}: {exc}") from exc
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
+    subparsers = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    defined = {a.dest for action in subparsers for a in action._actions}  # noqa: SLF001
+    for key, (_, lineno) in defaults.items():
+        if key not in defined:
+            raise InputError(f"unknown config key {key.replace('_', '-')!r}", row=lineno)
+    for action in subparsers:
         valid = {a.dest: a for a in action._actions}  # noqa: SLF001
-        for key, value in defaults.items():
+        for key, (value, lineno) in defaults.items():
             if key not in valid:
                 continue
             convert = valid[key].type
             try:
                 action.set_defaults(**{key: convert(value) if convert else value})
             except ValueError:
-                raise InputError(
-                    f"config value {value!r} invalid for {key.replace('_', '-')!r}") from None
+                raise InputError(f"config value {value!r} invalid for "
+                                 f"{key.replace('_', '-')!r}", row=lineno) from None
 
 
 def _solver_options(args) -> SolverOptions:
@@ -192,7 +195,6 @@ def _manifest(args, command, inputs, outputs) -> RunManifest:
         seed=args.seed,
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
-        threads=args.threads,
     )
 
 
@@ -363,7 +365,7 @@ def cmd_experiment(args) -> int:
         "discretization": run_experiment_discretization,
         "regularization": run_experiment_regularization,
     }[args.which]
-    result = runner(config, threads=args.threads)
+    result = runner(config)
     out = _out_dir(args)
     written = result.write_csv(out)
     manifest = _manifest(args, f"experiment:{args.which}",

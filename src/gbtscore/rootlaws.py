@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, gammaln, roots_jacobi
+from scipy.special import expit, roots_jacobi
 
 from .errors import ParameterError
 from .special import csch_sq, langevin_pair, log_cosh, log_sinhc
@@ -396,11 +396,9 @@ class RootLaw:
         if fam == Family.BERNOULLI:
             return np.where(rng.random(n) < expit(2.0 * th), 1.0, -1.0)
         if fam == Family.KNARY:
-            pts = self.support_points()
-            return _grid_sample(pts, np.zeros_like(pts), th, rng)
+            return _grid_sample(self.support_points(), th, rng)
         if fam == Family.POISSON:
-            pts, logw = self._poisson_log_weights(float(np.abs(th).max()))
-            return _grid_sample(pts, logw, th, rng)
+            return self._poisson_sample(th, rng)
         if fam == Family.GAUSSIAN:
             return rng.normal(self.sigma0_sq * th, math.sqrt(self.sigma0_sq), size=n)
         if fam == Family.UNIFORM:
@@ -408,36 +406,38 @@ class RootLaw:
         b = 2.0 if fam == Family.BETA_TWO else self.beta
         return _beta_rejection_sample(b, th, rng)
 
-    def _poisson_log_weights(self, theta_max: float):
-        """Symmetric integer grid and untilted log-weights wide enough that
-        the tilted law at |theta| <= theta_max keeps < 1e-12 mass outside."""
-        lam = self.lam
-        mode = lam * math.exp(theta_max)
-        if not mode < 1e7:
+    def _poisson_sample(self, th, rng):
+        """Exact tilted draw: with probability expit(p - q) a +Poisson(p),
+        else a -Poisson(q), where p = lam e^t and q = lam e^-t."""
+        with np.errstate(over="ignore"):
+            p = self.lam * np.exp(th)
+            q = self.lam * np.exp(-th)
+        up = rng.random(th.size) < expit(p - q)
+        try:
+            counts = rng.poisson(np.where(up, p, q))
+        except ValueError:  # rate beyond numpy's Poisson range, or NaN
+            worst = float(th[np.argmax(np.abs(th))])
             raise ParameterError(
-                f"tilt {theta_max:g} too large for exact integer-grid sampling (lambda={lam:g})")
-        n = int(math.ceil(mode + 12.0 * math.sqrt(mode) + 25.0))
-        k = np.arange(-n, n + 1, dtype=float)
-        ak = np.abs(k)
-        logw = -lam + ak * math.log(lam) - gammaln(ak + 1.0) - np.where(k != 0, _LOG2, 0.0)
-        return k, logw
+                f"tilt {worst:g} too large for Poisson sampling (lambda={self.lam:g})") from None
+        return np.where(up, counts, -counts).astype(float)
 
 
 def _wrap(values, scalar):
     return float(values[0]) if scalar else values
 
 
-def _grid_sample(pts, logw, th, rng):
+def _grid_sample(pts, th, rng):
+    """Draws from equal-weight support points tilted by exp(theta * pts)."""
     n = th.size
     if n > 1 and np.all(th == th[0]):
         # shared tilt: one pmf, many draws
-        logits = logw + th[0] * pts
+        logits = th[0] * pts
         logits -= logits.max()
         cdf = np.cumsum(np.exp(logits))
         u = rng.random(n) * cdf[-1]
         idx = np.searchsorted(cdf, u, side="left")
     else:
-        logits = logw[None, :] + th[:, None] * pts[None, :]
+        logits = th[:, None] * pts[None, :]
         logits -= logits.max(axis=1, keepdims=True)
         cdf = np.cumsum(np.exp(logits), axis=1)
         u = rng.random(n) * cdf[:, -1]

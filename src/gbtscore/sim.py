@@ -23,7 +23,6 @@ is fixed (graph, truth, comparisons).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,13 +220,6 @@ def _estimate(law, prior, matrix, options):
     return vec
 
 
-def _map_seeds(fn, seeds, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, seeds))
-    return [fn(s) for s in seeds]
-
-
 def _merge(per_seed_results):
     """Deterministic merge of per-seed (values, failures, notes) triples."""
     rows = [r[0] for r in per_seed_results]
@@ -236,7 +228,7 @@ def _merge(per_seed_results):
     return rows, failures, notes
 
 
-def run_experiment_sparsity(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment_sparsity(config: ExperimentConfig) -> ExperimentResult:
     """Error versus graph density; fit model = generating model."""
 
     def one_seed(seed):
@@ -251,7 +243,7 @@ def run_experiment_sparsity(config: ExperimentConfig, threads: int = 1) -> Exper
                 out.append(math.nan)
         return out, fails, []
 
-    rows, failures, _ = _merge(_map_seeds(one_seed, config.seeds, threads))
+    rows, failures, _ = _merge([one_seed(s) for s in config.seeds])
     points = [SweepPoint.from_values(_fmt(pc), config.seeds,
                                      [row[k] for row in rows])
               for k, pc in enumerate(config.edge_prob_grid)]
@@ -266,7 +258,7 @@ def _fit_label(law: RootLaw) -> str:
     return str(law.k) if law.family.value == "knary" else law.family.value
 
 
-def run_experiment_discretization(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment_discretization(config: ExperimentConfig) -> ExperimentResult:
     """K-level fits against the continuous fit on shared uniform data."""
     fit_laws = config.fit_laws or _default_fit_laws()
 
@@ -282,14 +274,14 @@ def run_experiment_discretization(config: ExperimentConfig, threads: int = 1) ->
                 out.append(math.nan)
         return out, fails, []
 
-    rows, failures, _ = _merge(_map_seeds(one_seed, config.seeds, threads))
+    rows, failures, _ = _merge([one_seed(s) for s in config.seeds])
     points = [SweepPoint.from_values(_fit_label(law), config.seeds,
                                      [row[k] for row in rows])
               for k, law in enumerate(fit_laws)]
     return ExperimentResult("discretization", config, tuple(points), failures=failures)
 
 
-def run_experiment_regularization(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment_regularization(config: ExperimentConfig) -> ExperimentResult:
     """Error versus inverse prior variance, 0 meaning no regularization.
 
     The unregularized point needs a connected graph, so it is evaluated on
@@ -322,7 +314,7 @@ def run_experiment_regularization(config: ExperimentConfig, threads: int = 1) ->
                 out.append(math.nan)
         return out, fails, notes
 
-    rows, failures, notes = _merge(_map_seeds(one_seed, config.seeds, threads))
+    rows, failures, notes = _merge([one_seed(s) for s in config.seeds])
     points = [SweepPoint.from_values(_fmt(inv), config.seeds,
                                      [row[k] for row in rows])
               for k, inv in enumerate(config.inv_sigma_sq_grid)]

@@ -75,10 +75,17 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Newton stopping rule and record keeping.
+
+    ``tolerance`` is the certified l2 bound at which a regularized solve stops
+    (the plain gradient norm when unregularized); ``max_iterations`` caps the
+    Newton steps; ``track_iterates`` keeps every iterate on the report. The
+    linear solver is chosen by size: dense Cholesky up to ``_DENSE_LIMIT``
+    alternatives, Jacobi-preconditioned CG above.
+    """
+
     tolerance: float = 1e-8
     max_iterations: int = 200
-    linear_solver: str = "auto"  # auto | cholesky | cg
-    verbose: bool = False
     track_iterates: bool = False
 
     def __post_init__(self):
@@ -86,8 +93,6 @@ class SolverOptions:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be at least 1")
-        if self.linear_solver not in ("auto", "cholesky", "cg"):
-            raise ParameterError(f"unknown linear solver {self.linear_solver!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,31 +204,24 @@ def _hessian_matrix(prior, matrix, weights, dense):
 
 
 def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
-    """Index groups of the comparison graph, largest first (ties by lowest index)."""
+    """Index groups of the comparison graph, largest first (ties by lowest
+    index), each ascending."""
+    # imported on first use: csgraph's extension modules add ~1 MB to every
+    # process, and only unregularized solves need it
+    from scipy.sparse.csgraph import connected_components as label_components
+
     a = len(matrix.alternatives)
-    parent = list(range(a))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     i, j, _ = matrix.index_arrays
-    for u, v in zip(i, j):
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for x in range(a):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
+    graph = scipy.sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(a, a))
+    _, labels = label_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted((g.tolist() for g in groups), key=lambda g: (-len(g), g[0]))
 
 
-def _solve_newton_system(prior, matrix, weights, g, options):
+def _solve_newton_system(prior, matrix, weights, g):
     a = g.size
-    use_dense = options.linear_solver == "cholesky" or (
-        options.linear_solver == "auto" and a <= _DENSE_LIMIT)
+    use_dense = a <= _DENSE_LIMIT
     gauge = 0.0
     if not prior.is_regularized:
         # the likelihood Hessian annihilates constants; pin the gauge with a
@@ -299,8 +297,6 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
             trail.append(t.copy())
         err = certified(gn)
         done = err <= options.tolerance if prior.is_regularized else gn <= options.tolerance
-        if options.verbose:
-            print(f"iter {iterations:3d}  loss {current:.12g}  |grad| {gn:.3e}  bound {err:.3e}")
         if done:
             vec = ScoreVector(matrix.alternatives, t)
             return vec, SolveReport(iterations, gn, err, True, current, trail)
@@ -310,7 +306,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                 f"no convergence after {iterations} iterations "
                 f"(gradient norm {gn:.3e})", report=report)
 
-        step = _solve_newton_system(prior, matrix, var, g, options)
+        step = _solve_newton_system(prior, matrix, var, g)
         descent = float(g @ step)
         if not descent < 0:
             report = SolveReport(iterations, gn, err, False, current, trail)

@@ -73,8 +73,13 @@ def langevin_pair(x):
     if np.any(small):
         a = ax[small]
         p = a * a
-        lang[small] = a * (1 / 3 + p * (-1 / 45 + p * (2 / 945 + p * (-1 / 4725 + p * (2 / 93555)))))
-        deriv[small] = 1 / 3 + p * (-1 / 15 + p * (2 / 189 + p * (-1 / 675 + p * (2 / 10395))))
+        # coth x - 1/x = sum 2^2n B_2n x^(2n-1) / (2n)! through B_14 (x^13),
+        # and its derivative through x^12; the first terms left out are below
+        # 1e-16 relative at the 0.2 cut-off
+        lang[small] = a * (1 / 3 + p * (-1 / 45 + p * (2 / 945 + p * (-1 / 4725 + p * (
+            2 / 93555 + p * (-1382 / 638512875 + p * (4 / 18243225)))))))
+        deriv[small] = 1 / 3 + p * (-1 / 15 + p * (2 / 189 + p * (-1 / 675 + p * (
+            2 / 10395 + p * (-1382 / 58046625 + p * (4 / 1403325))))))
     big = ~small
     if np.any(big):
         a = ax[big]

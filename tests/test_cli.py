@@ -222,6 +222,7 @@ class TestExperiment:
         assert len(per_seed) == 1 + 5 * 3
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "experiment:sparsity"
+        assert "threads" not in manifest
 
     def test_seed_list_forms(self, tmp_path):
         rc = main(["experiment", "--which", "regularization", "--a", "12",
@@ -234,6 +235,13 @@ class TestExperiment:
     def test_bad_seed_list(self, tmp_path):
         assert main(["experiment", "--which", "sparsity", "--seeds", "x",
                      "--out-dir", str(tmp_path)]) == 2
+
+    def test_threads_flag_gone(self, tmp_path):
+        # seeds run in one plain loop; the old flag is an argparse error
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--which", "sparsity", "--threads", "2",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_sweep_point_failures_exit_3(self, tmp_path, capsys):
         # unreachable tolerance: points are marked failed, run completes, exit 3
@@ -261,6 +269,23 @@ class TestConfigFile:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sigma_sq"] == 3.0
+
+    def test_unknown_key_exit_2_names_row(self, tmp_path, capsys):
+        inp = write(tmp_path / "p.csv", "a,b,r\nx,y,1.0\n")
+        for text, key, row in (("seed = 1\nsigma-sqq = 2.0\n", "sigma-sqq", 2),
+                               ("# old flag\nseed = 1\nthreads = 2\n", "threads", 3)):
+            cfg = write(tmp_path / "stale.cfg", text)
+            rc = main(["fit", "--input", inp, "--model", "uniform", "--config", cfg,
+                       "--out-dir", str(tmp_path / "out")])
+            assert rc == 2
+            assert f"row {row}: unknown config key '{key}'" in capsys.readouterr().err
+        cfg = write(tmp_path / "value.cfg", "# seeds\nseed = x\n")
+        assert main(["fit", "--input", inp, "--model", "uniform", "--config", cfg]) == 2
+        assert "row 2: config value 'x' invalid for 'seed'" in capsys.readouterr().err
+        # a key another subcommand defines is not an error
+        cfg = write(tmp_path / "shared.cfg", "probes = 5\nwhich = sparsity\n")
+        assert main(["fit", "--input", inp, "--model", "uniform", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_malformed_config(self, tmp_path):
         cfg = write(tmp_path / "bad.cfg", "sigma-sq\n")

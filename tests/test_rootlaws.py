@@ -253,6 +253,19 @@ class TestTiltedMoments:
         for t in (1e-12, 1e-9, 1e-6):
             assert law.tilted_moments(t)[0] == pytest.approx(slope * t, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("k", [3, 5, 21])
+    def test_knary_matches_oracle_around_the_series_cut_off(self, k):
+        # langevin_pair switches from its series at 0.2, reached by K x at
+        # theta = 0.2 (K-1)/K and by x at theta = 0.2 (K-1), x = theta/(K-1)
+        law = RootLaw.knary(k)
+        for cut in (0.2 * (k - 1) / k, 0.2 * (k - 1)):
+            for factor in (0.7, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 1.3):
+                theta = cut * factor
+                _, mean, var = oracle_moments(law, theta)
+                got_mean, got_var = law.tilted_moments(theta)
+                assert got_mean == pytest.approx(mean, rel=1e-13, abs=0.0), theta
+                assert got_var == pytest.approx(var, rel=1e-13, abs=0.0), theta
+
     @pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * 4096 + 5])
     def test_blocked_quadrature_matches_unblocked(self, size):
         law = RootLaw.beta_law(2.5)
@@ -322,6 +335,38 @@ class TestSampling:
         z = (draws.mean() - mean) / math.sqrt(var / n)
         assert abs(z) < 5.0
         assert draws.var(ddof=1) == pytest.approx(var, rel=0.1)
+
+    @pytest.mark.parametrize("tilt", [20.0, -20.0])
+    def test_poisson_samples_at_large_tilts(self, tilt):
+        # lambda e^20 ~ 4.9e8: every draw sits on the tilt's side, and the
+        # draws' mean matches Phi'(tilt)
+        law = RootLaw.poisson(1.0)
+        rng = np.random.default_rng(20)
+        n = 2000
+        draws = law.sample_comparison(tilt, rng, size=n)
+        mean, var = law.tilted_moments(tilt)
+        assert np.all(np.sign(draws) == math.copysign(1.0, tilt))
+        assert np.all(draws == np.round(draws))
+        assert abs(draws.mean() - mean) <= 5.0 * math.sqrt(var / n)
+
+    def test_poisson_moments_at_tilt_8(self):
+        law = RootLaw.poisson(1.0)
+        rng = np.random.default_rng(8)
+        n = 20_000
+        draws = law.sample_comparison(8.0, rng, size=n)
+        mean, var = law.tilted_moments(8.0)
+        assert abs(draws.mean() - mean) <= 5.0 * math.sqrt(var / n)
+        sample_var = draws.var(ddof=1)
+        fourth = float(np.mean((draws - draws.mean()) ** 4))
+        se_var = math.sqrt(max(fourth - sample_var ** 2 * (n - 3) / (n - 1), 1e-300) / n)
+        assert abs(sample_var - var) <= 5.0 * se_var
+
+    @pytest.mark.parametrize("tilt", [50.0, -800.0])
+    def test_poisson_rate_beyond_numpy_range_rejected(self, tilt):
+        # lambda e^50 ~ 5e21 exceeds numpy's Poisson range; e^800 overflows
+        law = RootLaw.poisson(1.0)
+        with pytest.raises(ParameterError, match=f"tilt {tilt:g}"):
+            law.sample_comparison(np.array([0.5, tilt]), np.random.default_rng(0))
 
     def test_untilted_binary_is_fair(self):
         rng = np.random.default_rng(0)

@@ -148,11 +148,6 @@ class TestRunners:
         assert not r1.failures
         assert r1.point("0.2").mean > r1.point("0.6").mean
 
-    def test_threads_match_serial(self):
-        serial = run_experiment_sparsity(SMALL)
-        threaded = run_experiment_sparsity(SMALL, threads=3)
-        assert serial == threaded
-
     def test_discretization_baseline_last(self):
         r = run_experiment_discretization(SMALL)
         assert [p.param for p in r.points] == ["3", "uniform"]

@@ -240,14 +240,26 @@ class TestMapEstimate:
             assert report.certified_error == pytest.approx(
                 2.0 * report.final_gradient_norm, rel=1e-12)
 
-    def test_cg_matches_cholesky(self):
+    def test_cg_matches_cholesky(self, monkeypatch):
+        # both Newton linear solves, with and without the unregularized gauge
         law = RootLaw.uniform()
         m = random_instance(law, 30, 0.3, 13)
-        v1, _ = map_estimate(law, PriorConfig(1.0), m,
-                             SolverOptions(tolerance=1e-10, linear_solver="cholesky"))
-        v2, _ = map_estimate(law, PriorConfig(1.0), m,
-                             SolverOptions(tolerance=1e-10, linear_solver="cg"))
-        assert np.abs(v1.values - v2.values).max() < 1e-9
+        priors = (PriorConfig(1.0), PriorConfig(math.inf))
+        dense = [map_estimate(law, prior, m, TIGHT)[0] for prior in priors]
+        cg_calls = []
+        real_cg = solver.sparse_cg
+
+        def counted_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_DENSE_LIMIT", 10)
+        monkeypatch.setattr(solver, "sparse_cg", counted_cg)
+        for prior, v1 in zip(priors, dense):
+            v2, report = map_estimate(law, prior, m, TIGHT)
+            assert np.abs(v1.values - v2.values).max() < 1e-9
+            assert report.iterations > 0
+        assert len(cg_calls) > 0
 
     def test_unregularized_needs_connected_graph(self):
         alts = AlternativeSet.from_ids(["p", "q", "s", "t"])
@@ -324,6 +336,46 @@ class TestWarmStart:
         assert abs(warm.values.sum()) < 1e-9
         assert rep.iterations <= 1
         assert np.abs(warm.values - cold.values).max() < 1e-9
+
+
+def bfs_components(n, pairs):
+    """Reference: breadth-first search from each unvisited index in order."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen = [False] * n
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        group, queue = [], [start]
+        while queue:
+            u = queue.pop(0)
+            group.append(u)
+            for v in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        groups.append(sorted(group))
+    # largest first; equal sizes keep the order of their lowest index
+    return sorted(groups, key=len, reverse=True)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_connected_components_match_bfs(data):
+    n = data.draw(st.integers(1, 25))
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=30)
+                      if candidates else st.just([]))
+    alts = AlternativeSet.from_ids(f"x{k:02d}" for k in range(n))
+    m = ComparisonMatrix(alts, law=None, indices=(
+        np.array([u for u, _ in pairs], dtype=np.int64),
+        np.array([v for _, v in pairs], dtype=np.int64),
+        np.zeros(len(pairs))))
+    assert connected_components(m) == bfs_components(n, pairs)
 
 
 class TestGaussianClosedForm:
