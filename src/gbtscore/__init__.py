@@ -10,14 +10,13 @@ estimator auditable.
 __version__ = "0.1.0"
 
 from .comparisons import (AlternativeSet, ComparisonEdit, ComparisonMatrix,
-                          EditKind, OrderRelation, read_comparisons_csv,
-                          read_scores_csv, write_comparisons_csv,
-                          write_scores_csv)
+                          EditKind, read_comparisons_csv, read_scores_csv,
+                          write_comparisons_csv, write_scores_csv)
 from .diagnostics import (MonotoneStepResult, ResilienceProbe,
                           ResilienceProbeConfig, check_monotone_step,
-                          conditional_moments, measure_resilience,
-                          monotonicity_sweep, neutral_comparison,
-                          resilience_bound, write_probe_csv)
+                          measure_resilience, monotonicity_sweep,
+                          neutral_comparison, resilience_bound,
+                          write_probe_csv)
 from .errors import (EditError, GbtError, InputError, MismatchError,
                      ParameterError, SolverError, SupportError)
 from .rootlaws import Family, RootLaw, parse_model_spec
@@ -33,12 +32,11 @@ from .solver import (PriorConfig, ScoreVector, SolveReport, SolverOptions,
 __all__ = [
     "__version__",
     "AlternativeSet", "ComparisonEdit", "ComparisonMatrix", "EditKind",
-    "OrderRelation", "read_comparisons_csv", "read_scores_csv",
-    "write_comparisons_csv", "write_scores_csv",
+    "read_comparisons_csv", "read_scores_csv", "write_comparisons_csv",
+    "write_scores_csv",
     "MonotoneStepResult", "ResilienceProbe", "ResilienceProbeConfig",
-    "check_monotone_step", "conditional_moments", "measure_resilience",
-    "monotonicity_sweep", "neutral_comparison", "resilience_bound",
-    "write_probe_csv",
+    "check_monotone_step", "measure_resilience", "monotonicity_sweep",
+    "neutral_comparison", "resilience_bound", "write_probe_csv",
     "EditError", "GbtError", "InputError", "MismatchError", "ParameterError",
     "SolverError", "SupportError",
     "Family", "RootLaw", "parse_model_spec",

@@ -1,4 +1,4 @@
-"""Alternatives, comparison matrices, edits, and the row-wise partial order.
+"""Alternatives, comparison matrices, edits, and their CSV files.
 
 A comparison matrix stores one signed value per compared (unordered) pair of
 alternatives, in three arrays ``(i, j, r)``: alternative indices with
@@ -28,7 +28,6 @@ __all__ = [
     "ComparisonMatrix",
     "ComparisonEdit",
     "EditKind",
-    "OrderRelation",
     "read_comparisons_csv",
     "write_comparisons_csv",
     "read_scores_csv",
@@ -100,18 +99,6 @@ class ComparisonEdit:
             raise EditError(f"{self.kind.value} edits require a value")
 
 
-class OrderRelation(enum.Enum):
-    """Classification of two matrices under the row-a partial order.
-
-    STRICTLY_LESS means every comparison involving a weakly increased, at
-    least one strictly, and nothing else moved.
-    """
-
-    EQUAL = "equal"
-    STRICTLY_LESS = "strictly_less"
-    INCOMPARABLE = "incomparable"
-
-
 class ComparisonMatrix:
     """Antisymmetric sparse map from unordered pairs to comparison values.
 
@@ -129,8 +116,7 @@ class ComparisonMatrix:
     support closure (SupportError). Edits are validated against the law too.
 
     ``rows`` gives each entry's source line, as the CSV reader does: errors
-    then name the row, and a non-finite value without a law is reported
-    only after every duplicate, without a row.
+    then name the row.
     """
 
     def __init__(self, alternatives: AlternativeSet,
@@ -164,11 +150,8 @@ class ComparisonMatrix:
         order = np.argsort(keys, kind="stable")
         repeat = np.zeros(keys.size, dtype=bool)
         repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        nonfinite = ~np.isfinite(r)
-        checks = [("unknown", (lo < 0) | (hi >= n_alts)), ("self", i == j)]
-        if rows is None:
-            checks.append(("nonfinite", nonfinite))
-        checks.append(("duplicate", repeat))
+        checks = [("unknown", (lo < 0) | (hi >= n_alts)), ("self", i == j),
+                  ("nonfinite", ~np.isfinite(r)), ("duplicate", repeat)]
         if law is not None:
             checks.append(("support", ~law.contains(r)))
         faulty = np.logical_or.reduce([mask for _, mask in checks])
@@ -176,8 +159,6 @@ class ComparisonMatrix:
             k = int(np.argmax(faulty))
             kind = next(name for name, mask in checks if mask[k])
             raise self._fault(kind, k, i, j, r, keys, given, rows)
-        if nonfinite.any():  # with rows and no law, reported after every row fault
-            raise self._fault("nonfinite", int(np.argmax(nonfinite)), i, j, r, keys, given, None)
 
         self._set(lo[order], hi[order], np.where(i < j, r, -r)[order])
 
@@ -331,30 +312,6 @@ class ComparisonMatrix:
                                          assume_unique=True, return_indices=True)
         changed = np.count_nonzero(self.index_arrays[2][mine] != other.index_arrays[2][theirs])
         return self.num_pairs + other.num_pairs - 2 * mine.size + int(changed)
-
-    # ------------------------------------------------------------------ ordering
-
-    def leq_at(self, other: "ComparisonMatrix", a: str) -> OrderRelation:
-        """Classify self vs other under the partial order at alternative a:
-        comparisons involving a may only weakly increase, all others must be
-        untouched. Defined only for matrices over the same comparison set."""
-        if self.alternatives != other.alternatives:
-            raise MismatchError("partial order requires a common alternative set")
-        if not np.array_equal(self._keys, other._keys):
-            raise MismatchError("partial order is only defined for matrices "
-                                "over the same comparison set")
-        ia = self.alternatives.index_of(a)
-        i, j, mine = self.index_arrays
-        theirs = other.index_arrays[2]
-        first, second = i == ia, j == ia
-        off_row = ~(first | second)
-        if np.any(mine[off_row] != theirs[off_row]):
-            return OrderRelation.INCOMPARABLE
-        # oriented from a: stored values where a is i, negated where a is j
-        up = np.concatenate([theirs[first] - mine[first], mine[second] - theirs[second]])
-        if np.any(up < 0):
-            return OrderRelation.INCOMPARABLE
-        return OrderRelation.STRICTLY_LESS if np.any(up > 0) else OrderRelation.EQUAL
 
 
 # ---------------------------------------------------------------------- CSV

@@ -37,7 +37,7 @@ import numpy as np
 
 from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind
 from .errors import EditError, ParameterError
-from .rootlaws import RootLaw
+from .rootlaws import Family, RootLaw
 from .solver import PriorConfig, SolverOptions, map_estimate
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "measure_resilience",
     "write_probe_csv",
     "neutral_comparison",
-    "conditional_moments",
 ]
 
 RESILIENCE_COEFFICIENT = 4.0 * math.sqrt(2.0)
@@ -61,11 +60,6 @@ def resilience_bound(law: RootLaw, prior: PriorConfig) -> float:
     if not law.is_bounded or not prior.is_regularized:
         return math.inf
     return RESILIENCE_COEFFICIENT * law.r_max * prior.sigma_sq
-
-
-def conditional_moments(law: RootLaw, theta_ab: float) -> tuple[float, float]:
-    """Mean and variance of a comparison at score difference theta_ab."""
-    return law.tilted_moments(theta_ab)
 
 
 # ------------------------------------------------------------------ monotonicity
@@ -85,38 +79,27 @@ class MonotoneStepResult:
         return self.strictly_increased and self.conclusive
 
 
-def _admissible_step(law: RootLaw, value: float, delta: float) -> None:
-    if not delta > 0:
-        raise EditError(f"step must be positive, got {delta!r}")
-    target = value + delta
-    if law.support_kind == "discrete":
-        pts = law.support_points()
-        above = pts[pts > value + 1e-12]
-        if above.size == 0:
-            raise EditError(f"value {value!r} has no next support point")
-        if abs(target - above[0]) > 1e-9:
-            raise EditError(
-                f"discrete step from {value!r} must reach the next support point "
-                f"{above[0]!r}, got {target!r}")
-    elif law.is_bounded and target > law.r_max:
-        raise EditError(f"step leaves the support: {value!r} + {delta!r} > {law.r_max}")
+def _next_step(law: RootLaw, value: float, step: float) -> float | None:
+    """The increase that takes value one admissible step up, or None at the top.
 
-
-def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
-                        pair: tuple[str, str], delta: float,
-                        options: SolverOptions | None = None,
-                        _base=None) -> MonotoneStepResult:
-    """Raise r_ab by delta, re-solve, and report how theta_a moved.
-
-    For discrete models delta must step exactly to the next support point.
+    Discrete grids step to the next point and Poisson values by one; a
+    continuous value moves by ``step`` but at most halfway to the supremum,
+    and within 1e-6 of it admits no increase.
     """
+    if law.family == Family.POISSON:
+        return 1.0
+    pts = law.support_points()
+    if pts is not None:
+        above = pts[pts > value + 1e-12]
+        return float(above[0] - value) if above.size else None
+    room = law.r_max - value
+    return None if room < 1e-6 else min(step, 0.5 * room)
+
+
+def _monotone_step(law, prior, matrix, base, pair, value, delta, options):
+    """Re-solve with r_ab raised from value by delta, warm from the base solve."""
     a, b = pair
-    value = matrix.value(a, b)  # raises if the pair is absent
-    _admissible_step(law, value, delta)
-    if _base is None:
-        base_vec, base_rep = map_estimate(law, prior, matrix, options)
-    else:
-        base_vec, base_rep = _base
+    base_vec, base_rep = base
     bumped = matrix.apply_edit(ComparisonEdit(EditKind.CHANGE, (a, b), value + delta))
     new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base_vec)
     err = base_rep.certified_error + new_rep.certified_error
@@ -131,33 +114,47 @@ def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatr
         conclusive=abs(margin) > 10.0 * err)
 
 
+def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
+                        pair: tuple[str, str], delta: float,
+                        options: SolverOptions | None = None) -> MonotoneStepResult:
+    """Raise r_ab by delta, re-solve, and report how theta_a moved.
+
+    For discrete models delta must step exactly to the next support point
+    (the next integer for Poisson); continuous models must stay in the support.
+    """
+    value = matrix.value(*pair)  # raises if the pair is absent
+    if not delta > 0:
+        raise EditError(f"step must be positive, got {delta!r}")
+    if law.support_kind == "discrete":
+        step = _next_step(law, value, delta)
+        if step is None:
+            raise EditError(f"value {value!r} has no next support point")
+        if abs(delta - step) > 1e-9:
+            raise EditError(
+                f"discrete step from {value!r} must reach the next support point "
+                f"{value + step!r}, got {value + delta!r}")
+    elif not law.contains(value + delta):
+        raise EditError(f"step leaves the support: {value!r} + {delta!r} > {law.r_max}")
+    base = map_estimate(law, prior, matrix, options)
+    return _monotone_step(law, prior, matrix, base, pair, value, delta, options)
+
+
 def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                        options: SolverOptions | None = None,
                        continuous_step: float = 0.25) -> list[MonotoneStepResult]:
     """Probe every admissible single-pair increase of the matrix.
 
     The base problem is solved once and shared. Entries already at the top
-    of a discrete grid, or within 1e-6 of a bounded supremum, admit no
-    increase and are skipped.
+    of a bounded grid, or within 1e-6 of a bounded supremum, admit no
+    increase and are skipped; Poisson values always step by one.
     """
     base = map_estimate(law, prior, matrix, options)
     results = []
-    pts = law.support_points() if law.support_kind == "discrete" else None
     for a, b, value in matrix.iter_entries():
-        if pts is not None:
-            above = pts[pts > value + 1e-12]
-            if above.size == 0:
-                continue
-            delta = float(above[0] - value)
-        elif law.is_bounded:
-            room = law.r_max - value
-            if room < 1e-6:
-                continue
-            delta = min(continuous_step, 0.5 * room)
-        else:
-            delta = continuous_step
-        results.append(check_monotone_step(law, prior, matrix, (a, b), delta,
-                                           options, _base=base))
+        delta = _next_step(law, value, continuous_step)
+        if delta is not None:
+            results.append(_monotone_step(law, prior, matrix, base, (a, b), value,
+                                          delta, options))
     return results
 
 
@@ -202,7 +199,6 @@ class ResilienceProbeConfig:
 @dataclass
 class ResilienceProbe:
     base: ComparisonMatrix
-    edits: list[list[ComparisonEdit]]
     records: list[ProbeRecord] = field(default_factory=list)
     observed_ratio: float = 0.0
     bound: float = math.inf
@@ -276,22 +272,19 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     fixed_base = base is not None
     if base is None:
         base = _random_base(law, config, rng)
-    probe = ResilienceProbe(base=base, edits=[], bound=bound)
+    probe = ResilienceProbe(base=base, bound=bound)
 
     if config.scaling_factors:
         base_vec, _ = map_estimate(law, prior, base, options)
         for lam in config.scaling_factors:
             scaled = base.with_entries(
                 [(a, b, lam * v) for a, b, v in base.iter_entries()])
-            edits = [ComparisonEdit(EditKind.CHANGE, (a, b), lam * v)
-                     for a, b, v in base.iter_entries() if lam * v != v]
             dist = base.edit_distance(scaled)
             if dist == 0:
                 continue
             scaled_vec, _ = map_estimate(law, prior, scaled, options)
             change = float(np.linalg.norm(scaled_vec.values - base_vec.values))
             ratio = change / dist
-            probe.edits.append(edits)
             probe.records.append(ProbeRecord("scale", "*", dist, change, ratio, bound))
             probe.observed_ratio = max(probe.observed_ratio, ratio)
         return probe
@@ -314,7 +307,6 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
         ratio = change / dist
         kind = "+".join(e.kind.value for e in edits)
         pair = ";".join(f"{p[0]}|{p[1]}" for p in (e.pair for e in edits))
-        probe.edits.append(edits)
         probe.records.append(ProbeRecord(kind, pair, dist, change, ratio, bound))
         probe.observed_ratio = max(probe.observed_ratio, ratio)
         done += 1

@@ -95,14 +95,16 @@ class RootLaw:
             if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
                 raise ParameterError(f"knary requires integer K >= 2, got {self.k!r}")
         elif fam == Family.POISSON:
-            if self.lam is None or not self.lam > 0:
-                raise ParameterError(f"poisson requires lambda > 0, got {self.lam!r}")
+            if self.lam is None or not 0 < self.lam < math.inf:
+                raise ParameterError(f"poisson requires finite lambda > 0, got {self.lam!r}")
         elif fam == Family.GAUSSIAN:
-            if self.sigma0_sq is None or not self.sigma0_sq > 0:
-                raise ParameterError(f"gaussian requires sigma0sq > 0, got {self.sigma0_sq!r}")
+            if self.sigma0_sq is None or not 0 < self.sigma0_sq < math.inf:
+                raise ParameterError(
+                    f"gaussian requires finite sigma0sq > 0, got {self.sigma0_sq!r}")
         elif fam == Family.BETA:
-            if self.beta is None or not self.beta > 0:
-                raise ParameterError(f"beta requires beta > 0, got {self.beta!r}")
+            # the Gauss-Jacobi rule needs the exponent beta - 1 > -1 in floating point
+            if self.beta is None or not (self.beta < math.inf and self.beta - 1.0 > -1.0):
+                raise ParameterError(f"beta requires finite beta > 0, got {self.beta!r}")
 
     # ---------------------------------------------------------------- factories
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -212,42 +213,49 @@ def _dataset(config: ExperimentConfig, seed: int, edge_prob: float):
     return truth, matrix
 
 
-def _estimate(law, prior, matrix, options):
+def _error(law, prior, matrix, options, truth) -> float:
+    """norm_error of the MAP estimate against the truth values."""
     if matrix.num_pairs == 0:
         # with no comparisons the regularized optimum is exactly zero
-        return ScoreVector.zeros(matrix.alternatives)
+        return norm_error(np.zeros(len(matrix.alternatives)), truth)
     vec, _ = map_estimate(law, prior, matrix, options)
-    return vec
+    return norm_error(vec.values, truth)
 
 
-def _merge(per_seed_results):
-    """Deterministic merge of per-seed (values, failures, notes) triples."""
-    rows = [r[0] for r in per_seed_results]
-    failures = tuple(msg for r in per_seed_results for msg in r[1])
-    notes = tuple(msg for r in per_seed_results for msg in r[2])
-    return rows, failures, notes
+def _sweep(name, config, key, labels, fits, notes=()) -> ExperimentResult:
+    """Run every seed's fits, one SweepPoint per label, seeds in order.
+
+    ``fits(seed)`` yields one thunk per label returning that point's error.
+    A SolverError becomes a NaN and a failure line ``key=label seed=s: ...``.
+    ``notes`` may be a list the fits append to while they run.
+    """
+    rows, failures = [], []
+    for seed in config.seeds:
+        row = []
+        for label, fit in zip(labels, fits(seed)):
+            try:
+                row.append(fit())
+            except SolverError as exc:
+                failures.append(f"{key}={label} seed={seed}: {exc}")
+                row.append(math.nan)
+        rows.append(row)
+    points = tuple(SweepPoint.from_values(label, config.seeds, [row[k] for row in rows])
+                   for k, label in enumerate(labels))
+    return ExperimentResult(name, config, points, notes=tuple(notes),
+                            failures=tuple(failures))
 
 
 def run_experiment_sparsity(config: ExperimentConfig) -> ExperimentResult:
     """Error versus graph density; fit model = generating model."""
 
-    def one_seed(seed):
-        out, fails = [], []
+    def fits(seed):
         for pc in config.edge_prob_grid:
             truth, matrix = _dataset(config, seed, pc)
-            try:
-                est = _estimate(config.gen_law, config.prior, matrix, config.solver)
-                out.append(norm_error(est, truth))
-            except SolverError as exc:
-                fails.append(f"pc={_fmt(pc)} seed={seed}: {exc}")
-                out.append(math.nan)
-        return out, fails, []
+            yield partial(_error, config.gen_law, config.prior, matrix, config.solver,
+                          truth.values)
 
-    rows, failures, _ = _merge([one_seed(s) for s in config.seeds])
-    points = [SweepPoint.from_values(_fmt(pc), config.seeds,
-                                     [row[k] for row in rows])
-              for k, pc in enumerate(config.edge_prob_grid)]
-    return ExperimentResult("sparsity", config, tuple(points), failures=failures)
+    labels = [_fmt(pc) for pc in config.edge_prob_grid]
+    return _sweep("sparsity", config, "pc", labels, fits)
 
 
 def _default_fit_laws() -> tuple[RootLaw, ...]:
@@ -262,23 +270,13 @@ def run_experiment_discretization(config: ExperimentConfig) -> ExperimentResult:
     """K-level fits against the continuous fit on shared uniform data."""
     fit_laws = config.fit_laws or _default_fit_laws()
 
-    def one_seed(seed):
+    def fits(seed):
         truth, matrix = _dataset(config, seed, config.edge_prob)
-        out, fails = [], []
         for law in fit_laws:
-            try:
-                est = _estimate(law, config.prior, matrix, config.solver)
-                out.append(norm_error(est, truth))
-            except SolverError as exc:
-                fails.append(f"fit={_fit_label(law)} seed={seed}: {exc}")
-                out.append(math.nan)
-        return out, fails, []
+            yield partial(_error, law, config.prior, matrix, config.solver, truth.values)
 
-    rows, failures, _ = _merge([one_seed(s) for s in config.seeds])
-    points = [SweepPoint.from_values(_fit_label(law), config.seeds,
-                                     [row[k] for row in rows])
-              for k, law in enumerate(fit_laws)]
-    return ExperimentResult("discretization", config, tuple(points), failures=failures)
+    labels = [_fit_label(law) for law in fit_laws]
+    return _sweep("discretization", config, "fit", labels, fits)
 
 
 def run_experiment_regularization(config: ExperimentConfig) -> ExperimentResult:
@@ -287,36 +285,22 @@ def run_experiment_regularization(config: ExperimentConfig) -> ExperimentResult:
     The unregularized point needs a connected graph, so it is evaluated on
     the giant component (noted in the result when that is a strict subset).
     """
+    notes = []
 
-    def one_seed(seed):
+    def fits(seed):
         truth, matrix = _dataset(config, seed, config.edge_prob)
         comps = connected_components(matrix)
-        out, fails, notes = [], [], []
         for inv in config.inv_sigma_sq_grid:
+            prior, sub_matrix, idx = PriorConfig(math.inf), matrix, slice(None)
             if inv > 0:
                 prior = PriorConfig(1.0 / inv)
-                sub_matrix, idx = matrix, None
-            else:
-                prior = PriorConfig(math.inf)
-                if len(comps) > 1:
-                    sub_matrix, idx = restrict_matrix(matrix, comps[0])
-                    notes.append(
-                        f"seed={seed}: unregularized point restricted to the giant "
-                        f"component ({len(comps[0])}/{len(matrix.alternatives)} alternatives)")
-                else:
-                    sub_matrix, idx = matrix, None
-            try:
-                est = _estimate(config.gen_law, prior, sub_matrix, config.solver)
-                tru = truth.values if idx is None else truth.values[idx]
-                out.append(norm_error(est.values, tru))
-            except SolverError as exc:
-                fails.append(f"inv_sigma_sq={_fmt(inv)} seed={seed}: {exc}")
-                out.append(math.nan)
-        return out, fails, notes
+            elif len(comps) > 1:
+                sub_matrix, idx = restrict_matrix(matrix, comps[0])
+                notes.append(
+                    f"seed={seed}: unregularized point restricted to the giant "
+                    f"component ({len(comps[0])}/{len(matrix.alternatives)} alternatives)")
+            yield partial(_error, config.gen_law, prior, sub_matrix, config.solver,
+                          truth.values[idx])
 
-    rows, failures, notes = _merge([one_seed(s) for s in config.seeds])
-    points = [SweepPoint.from_values(_fmt(inv), config.seeds,
-                                     [row[k] for row in rows])
-              for k, inv in enumerate(config.inv_sigma_sq_grid)]
-    return ExperimentResult("regularization", config, tuple(points),
-                            notes=notes, failures=failures)
+    labels = [_fmt(inv) for inv in config.inv_sigma_sq_grid]
+    return _sweep("regularization", config, "inv_sigma_sq", labels, fits, notes)

@@ -111,10 +111,6 @@ class ScoreVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, alternatives: AlternativeSet) -> "ScoreVector":
-        return cls(alternatives, np.zeros(len(alternatives)))
-
     def value_of(self, a: str) -> float:
         return float(self.values[self.alternatives.index_of(a)])
 

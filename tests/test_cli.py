@@ -57,6 +57,21 @@ class TestFit:
         assert rc == 4
         assert "support" in capsys.readouterr().err
 
+    def test_non_finite_value_exit_2_names_row(self, tmp_path, capsys):
+        inp = write(tmp_path / "nan.csv", "a,b,r\nx,y,0.5\ny,z,nan\n")
+        rc = main(["fit", "--input", inp, "--model", "knary:K=3",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "row 3: non-finite comparison value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["beta:beta=inf", "beta:beta=1e-17",
+                                      "poisson:lambda=inf", "gaussian:sigma0sq=inf"])
+    def test_unusable_model_parameter_exit_2(self, tmp_path, capsys, spec):
+        inp = write(tmp_path / "p.csv", "a,b,r\nx,y,1.0\n")
+        rc = main(["fit", "--input", inp, "--model", spec, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "requires finite" in capsys.readouterr().err
+
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         rows = ["a,b,r"] + [f"n{i},n{j},0.8" for i in range(8) for j in range(i + 1, 8)]
         inp = write(tmp_path / "hard.csv", "\n".join(rows) + "\n")
@@ -201,7 +216,7 @@ class TestCheck:
 
         def fake(law, prior, config, options=None, base=None):
             from gbtscore.diagnostics import ProbeRecord, ResilienceProbe
-            probe = ResilienceProbe(base=None, edits=[], bound=1.0)
+            probe = ResilienceProbe(base=None, bound=1.0)
             probe.records = [ProbeRecord("change", "x|y", 1, 9.0, 9.0, 1.0)]
             probe.observed_ratio = 9.0
             return probe

@@ -1,4 +1,4 @@
-"""Comparison matrices: antisymmetry, edits, the partial order, CSV I/O."""
+"""Comparison matrices: antisymmetry, edits, CSV I/O."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gbtscore import (AlternativeSet, ComparisonEdit, ComparisonMatrix,
                       EditKind, Family, GbtError, InputError, MismatchError,
-                      OrderRelation, ParameterError, RootLaw, SupportError, EditError,
+                      ParameterError, RootLaw, SupportError, EditError,
                       read_comparisons_csv, read_scores_csv,
                       write_comparisons_csv, write_scores_csv)
 
@@ -173,66 +173,6 @@ class TestEditDistanceMetric:
                 m.apply_edit(ComparisonEdit(EditKind.CHANGE, (a, b), new))) == 1
 
 
-class TestPartialOrder:
-    def test_equal(self):
-        m = matrix([("a", "b", 0.3), ("c", "d", 0.1)])
-        assert m.leq_at(m, "a") == OrderRelation.EQUAL
-
-    def test_strictly_less_on_row(self):
-        m = matrix([("a", "b", 0.3), ("c", "d", 0.1)])
-        m2 = matrix([("a", "b", 0.4), ("c", "d", 0.1)])
-        assert m.leq_at(m2, "a") == OrderRelation.STRICTLY_LESS
-        assert m2.leq_at(m, "a") == OrderRelation.INCOMPARABLE
-
-    def test_off_row_difference_incomparable(self):
-        m = matrix([("a", "b", 0.3), ("c", "d", 0.1)])
-        m2 = matrix([("a", "b", 0.3), ("c", "d", 0.2)])
-        assert m.leq_at(m2, "a") == OrderRelation.INCOMPARABLE
-        assert m.leq_at(m2, "c") == OrderRelation.STRICTLY_LESS
-
-    def test_orientation_of_row_values(self):
-        # raising r_ba lowers r_ab: strictly less at b, incomparable at a
-        m = matrix([("a", "b", 0.3)])
-        m2 = matrix([("a", "b", 0.1)])
-        assert m.leq_at(m2, "b") == OrderRelation.STRICTLY_LESS
-        assert m.leq_at(m2, "a") == OrderRelation.INCOMPARABLE
-
-    def test_mixed_directions_incomparable(self):
-        m = matrix([("a", "b", 0.3), ("a", "c", 0.3)])
-        m2 = matrix([("a", "b", 0.4), ("a", "c", 0.2)])
-        assert m.leq_at(m2, "a") == OrderRelation.INCOMPARABLE
-
-    def test_requires_same_comparison_set(self):
-        m = matrix([("a", "b", 0.3)])
-        m2 = matrix([("a", "b", 0.3), ("c", "d", 0.1)])
-        with pytest.raises(MismatchError):
-            m.leq_at(m2, "a")
-
-    @given(random_matrix(), st.integers(0, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_row_increase_path_is_strictly_less(self, m, which):
-        # constructively raise a subset of one row; classification must be
-        # STRICTLY_LESS there and INCOMPARABLE (or EQUAL) elsewhere
-        ids = list(m.alternatives.ids)
-        a = ids[which]
-        row = [(x, y, v) for x, y, v in m.iter_entries() if a in (x, y)]
-        if not row:
-            return
-        steps = []
-        current = m
-        for x, y, v in row:
-            oriented = v if x == a else -v
-            edit = ComparisonEdit(EditKind.CHANGE, (a, y if x == a else x), oriented + 0.5)
-            steps.append(edit)
-            current = current.apply_edit(edit)
-        assert m.leq_at(current, a) == OrderRelation.STRICTLY_LESS
-        assert m.edit_distance(current) == len(steps)
-        for other in ids:
-            if other != a and not any(other in (x, y) for x, y, _ in row):
-                rel = m.leq_at(current, other)
-                assert rel in (OrderRelation.INCOMPARABLE, OrderRelation.EQUAL)
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path):
         m = matrix([("a", "b", 0.5), ("b", "c", -0.25), ("a", "d", 1.0)])
@@ -338,24 +278,6 @@ def reference_arrays(store):
 def reference_edit_distance(mine, theirs):
     return (sum(1 for k in mine if k not in theirs) + sum(1 for k in theirs if k not in mine)
             + sum(1 for k, v in mine.items() if k in theirs and theirs[k] != v))
-
-
-def reference_leq_at(mine, theirs, ia):
-    if set(mine) != set(theirs):
-        return MismatchError
-    any_strict = False
-    for key, v in mine.items():
-        w = theirs[key]
-        if ia not in key:
-            if v != w:
-                return OrderRelation.INCOMPARABLE
-            continue
-        dv = (w - v) if key[0] == ia else (v - w)
-        if dv < 0:
-            return OrderRelation.INCOMPARABLE
-        if dv > 0:
-            any_strict = True
-    return OrderRelation.STRICTLY_LESS if any_strict else OrderRelation.EQUAL
 
 
 def outcome(fn):
@@ -487,9 +409,6 @@ class TestAgainstDictReference:
             assert same_arrays(current.index_arrays, reference_arrays(ref))
         assert start.edit_distance(current) == reference_edit_distance(store, ref)
         assert current.edit_distance(start) == reference_edit_distance(ref, store)
-        for a in alts:
-            want = reference_leq_at(store, ref, alts.index_of(a))
-            assert outcome(lambda: start.leq_at(current, a)) == want
 
     def test_equal_matrices_hash_alike(self):
         # a flipped zero is stored as -0.0, which equals 0.0
@@ -530,23 +449,29 @@ class TestCsvErrorPrecedence:
             read_comparisons_csv(path)
         assert err.value.row == 4 and "row 2" in str(err.value)
 
-    def test_non_finite_without_law_after_duplicates_and_unnumbered(self, tmp_path):
+    def test_non_finite_is_an_input_error_in_row_order(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("a,b,r\nx,y,nan\nz,w,0.1\n")
         with pytest.raises(InputError) as err:
             read_comparisons_csv(path)
-        assert err.value.row is None and "non-finite" in str(err.value)
+        assert err.value.row == 2 and "non-finite" in str(err.value)
+        # the first faulty row is reported, whatever fault a later row has
         path.write_text("a,b,r\nx,y,nan\nz,w,0.1\nw,z,0.1\n")
         with pytest.raises(InputError) as err:
             read_comparisons_csv(path)
-        assert err.value.row == 4
+        assert err.value.row == 2 and "non-finite" in str(err.value)
+        path.write_text("a,b,r\nz,w,0.1\nw,z,0.1\nx,y,-inf\n")
+        with pytest.raises(InputError) as err:
+            read_comparisons_csv(path)
+        assert err.value.row == 3 and "duplicate" in str(err.value)
 
-    def test_non_finite_with_law_is_a_support_fault(self, tmp_path):
+    def test_non_finite_with_law_is_not_a_support_fault(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("a,b,r\nx,y,0.5\nz,w,inf\n")
-        with pytest.raises(SupportError) as err:
-            read_comparisons_csv(path, law=RootLaw.gaussian(1.0))
-        assert err.value.row == 3
+        path.write_text("a,b,r\nx,y,0.5\nz,w,inf\nw,x,nan\n")
+        for law in (RootLaw.gaussian(1.0), RootLaw.knary(3)):
+            with pytest.raises(InputError) as err:
+                read_comparisons_csv(path, law=law)
+            assert err.value.row == 3 and "non-finite" in str(err.value)
 
     @pytest.mark.parametrize("reader,header", [(read_comparisons_csv, b"a,b,r\nx,y,0.5\n"),
                                                (read_scores_csv, b"a,theta\nx,0.5\n")])

@@ -8,7 +8,7 @@ import pytest
 from conftest import ALL_SPECS, BOUNDED_SPECS
 from gbtscore import (AlternativeSet, ComparisonMatrix, EditError, PriorConfig,
                       ResilienceProbeConfig, RootLaw, SolverOptions,
-                      check_monotone_step, conditional_moments, hessian,
+                      check_monotone_step, hessian,
                       map_estimate, measure_resilience, monotonicity_sweep,
                       neutral_comparison, parse_model_spec, resilience_bound,
                       write_probe_csv)
@@ -46,11 +46,11 @@ def newton_iterations(monkeypatch, run, cold):
 class TestConditionalMoments:
     def test_zero_tilt_zero_mean(self):
         for spec in ALL_SPECS:
-            mean, var = conditional_moments(parse_model_spec(spec), 0.0)
+            mean, var = parse_model_spec(spec).tilted_moments(0.0)
             assert mean == 0.0 and var > 0.0
 
     def test_gaussian_moments(self):
-        mean, var = conditional_moments(RootLaw.gaussian(1.7), 0.4)
+        mean, var = RootLaw.gaussian(1.7).tilted_moments(0.4)
         assert mean == pytest.approx(1.7 * 0.4, rel=1e-15)
         assert var == 1.7
 
@@ -58,7 +58,7 @@ class TestConditionalMoments:
         z = math.exp(-1) + 1 + math.exp(1)
         mean = (math.exp(1) - math.exp(-1)) / z
         var = (math.exp(1) + math.exp(-1)) / z - mean ** 2
-        got = conditional_moments(RootLaw.knary(3), 1.0)
+        got = RootLaw.knary(3).tilted_moments(1.0)
         assert got[0] == pytest.approx(mean, rel=1e-14)
         assert got[1] == pytest.approx(var, rel=1e-14)
 
@@ -117,6 +117,19 @@ class TestMonotoneStep:
             for res in monotonicity_sweep(law, PriorConfig(1.0), m):
                 assert res.passed, (spec, res)
                 assert res.margin_other < 0.0
+                assert law.contains(m.value(*res.pair) + res.delta), (spec, res)
+
+    def test_poisson_steps_by_one_beyond_the_truncated_grid(self):
+        # support_points() stops at +-14 for lambda=1; the integers do not
+        law = RootLaw.poisson(1.0)
+        m = ComparisonMatrix(AlternativeSet.from_ids(["a", "b", "c"]),
+                             [("a", "b", 20.0), ("b", "c", -20.0)], law=law)
+        results = monotonicity_sweep(law, PriorConfig(1.0), m)
+        assert [r.pair for r in results] == [("a", "b"), ("b", "c")]
+        assert all(r.delta == 1.0 and r.passed for r in results)
+        assert check_monotone_step(law, PriorConfig(1.0), m, ("a", "b"), 1.0).passed
+        with pytest.raises(EditError):
+            check_monotone_step(law, PriorConfig(1.0), m, ("a", "b"), 2.0)
 
     def test_sweep_warm_starts_save_newton_iterations(self, monkeypatch):
         law = RootLaw.knary(5)

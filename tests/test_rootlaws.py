@@ -24,6 +24,8 @@ class TestParameters:
         lambda: RootLaw.poisson(0.0), lambda: RootLaw.poisson(-1.0),
         lambda: RootLaw.gaussian(0.0), lambda: RootLaw.gaussian(-0.5),
         lambda: RootLaw.beta_law(0.0), lambda: RootLaw.beta_law(-2.0),
+        lambda: RootLaw.poisson(math.inf), lambda: RootLaw.gaussian(math.inf),
+        lambda: RootLaw.beta_law(math.inf), lambda: RootLaw.beta_law(1e-17),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ParameterError):
@@ -64,6 +66,29 @@ class TestParsing:
     def test_rejects_malformed(self, text):
         with pytest.raises(ParameterError):
             parse_model_spec(text)
+
+
+_SPEC_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e-17", "1e400", "0", "2.5", "1_0", " 3 "]),
+    st.text(max_size=8))
+
+
+@given(st.one_of(
+    st.text(max_size=30),
+    st.builds(lambda head, value: f"{head}={value}",
+              st.sampled_from(["knary:K", "poisson:lambda", "gaussian:sigma0sq", "beta:beta",
+                               "Beta:BETA", "uniform:x", "poisson:beta"]),
+              _SPEC_NUMBERS)))
+@settings(max_examples=300, deadline=None)
+def test_parse_model_spec_raises_only_parameter_errors(text):
+    try:
+        law = parse_model_spec(text)
+    except ParameterError:
+        return
+    params = [p for p in (law.lam, law.sigma0_sq, law.beta) if p is not None]
+    assert all(0.0 < p < math.inf for p in params)
+    assert parse_model_spec(law.spec_string) == law
 
 
 class TestCumulantInvariants:
