@@ -280,7 +280,7 @@ def _check_monotonicity(args, law, prior, options):
         while len(bases) < args.instances:
             n = int(rng.integers(4, 9))
             pairs = erdos_renyi_graph(n, 0.7, rng)
-            if not pairs:
+            if not pairs[0].size:
                 continue
             truth = sample_ground_truth(n, 1.0, rng)
             bases.append(synthesize_comparisons(law, truth, pairs, rng))

@@ -259,8 +259,8 @@ class ComparisonMatrix:
 
     # ------------------------------------------------------------------ edits
 
-    def with_entries(self, entries, law=None) -> "ComparisonMatrix":
-        return ComparisonMatrix(self.alternatives, entries, law=self.law if law is None else law)
+    def with_entries(self, entries) -> "ComparisonMatrix":
+        return ComparisonMatrix(self.alternatives, entries, law=self.law)
 
     def apply_edit(self, edit: ComparisonEdit) -> "ComparisonMatrix":
         """Return a new matrix one elementary modification away.

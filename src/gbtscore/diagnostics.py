@@ -38,7 +38,8 @@ import numpy as np
 from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind
 from .errors import EditError, ParameterError
 from .rootlaws import Family, RootLaw
-from .solver import PriorConfig, SolverOptions, map_estimate
+from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
+from .solver import PriorConfig, ScoreVector, SolverOptions, map_estimate
 
 __all__ = [
     "MonotoneStepResult",
@@ -140,18 +141,18 @@ def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatr
 
 
 def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
-                       options: SolverOptions | None = None,
-                       continuous_step: float = 0.25) -> list[MonotoneStepResult]:
+                       options: SolverOptions | None = None) -> list[MonotoneStepResult]:
     """Probe every admissible single-pair increase of the matrix.
 
     The base problem is solved once and shared. Entries already at the top
     of a bounded grid, or within 1e-6 of a bounded supremum, admit no
-    increase and are skipped; Poisson values always step by one.
+    increase and are skipped. Poisson values step by one, continuous ones by
+    0.25 (at most halfway to the supremum).
     """
     base = map_estimate(law, prior, matrix, options)
     results = []
     for a, b, value in matrix.iter_entries():
-        delta = _next_step(law, value, continuous_step)
+        delta = _next_step(law, value, 0.25)
         if delta is not None:
             results.append(_monotone_step(law, prior, matrix, base, (a, b), value,
                                           delta, options))
@@ -179,8 +180,6 @@ class ResilienceProbeConfig:
     instead of random edits (the stress case for linear estimators).
     """
 
-    n_alternatives: int = 10
-    edge_prob: float = 0.6
     n_probes: int = 200
     edits_per_probe: int = 1
     n_bases: int = 10
@@ -188,10 +187,6 @@ class ResilienceProbeConfig:
     scaling_factors: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n_alternatives < 3:
-            raise ParameterError("resilience probes need at least 3 alternatives")
-        if not 0.0 < self.edge_prob <= 1.0:
-            raise ParameterError("edge_prob must lie in (0, 1]")
         if self.n_probes < 1 or self.edits_per_probe < 1 or self.n_bases < 1:
             raise ParameterError("probe counts must be positive")
 
@@ -210,7 +205,7 @@ def _random_value(law: RootLaw, rng) -> float:
         return float(pts[rng.integers(pts.size)])
     if law.is_bounded:
         return float(rng.uniform(-1.0, 1.0))
-    # unbounded continuous support: draw from the untilted law itself
+    # unbounded support (Gaussian, Poisson): draw from the untilted law itself
     return float(law.sample_comparison(0.0, rng))
 
 
@@ -243,16 +238,13 @@ def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng) -> ComparisonEdit:
             return ComparisonEdit(EditKind.CHANGE, pair, value)
 
 
-def _random_base(law: RootLaw, config: ResilienceProbeConfig, rng) -> ComparisonMatrix:
-    from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
-    from .solver import ScoreVector
-
-    alts = default_alternatives(config.n_alternatives)
+def _random_base(law: RootLaw, rng) -> ComparisonMatrix:
+    n = 10
     while True:
-        pairs = erdos_renyi_graph(config.n_alternatives, config.edge_prob, rng)
-        if pairs:
+        pairs = erdos_renyi_graph(n, 0.6, rng)
+        if pairs[0].size:
             break
-    truth = ScoreVector(alts, rng.normal(size=config.n_alternatives))
+    truth = ScoreVector(default_alternatives(n), rng.normal(size=n))
     return synthesize_comparisons(law, truth, pairs, rng)
 
 
@@ -271,14 +263,14 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     bound = resilience_bound(law, prior)
     fixed_base = base is not None
     if base is None:
-        base = _random_base(law, config, rng)
+        base = _random_base(law, rng)
     probe = ResilienceProbe(base=base, bound=bound)
 
     if config.scaling_factors:
         base_vec, _ = map_estimate(law, prior, base, options)
+        i, j, r = base.index_arrays
         for lam in config.scaling_factors:
-            scaled = base.with_entries(
-                [(a, b, lam * v) for a, b, v in base.iter_entries()])
+            scaled = ComparisonMatrix(base.alternatives, law=base.law, indices=(i, j, lam * r))
             dist = base.edit_distance(scaled)
             if dist == 0:
                 continue
@@ -311,7 +303,7 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
         probe.observed_ratio = max(probe.observed_ratio, ratio)
         done += 1
         if not fixed_base and done % per_base == 0 and done < config.n_probes:
-            base = _random_base(law, config, rng)
+            base = _random_base(law, rng)
             base_vec, _ = map_estimate(law, prior, base, options)
     return probe
 

@@ -169,30 +169,16 @@ class RootLaw:
             return f"beta:beta={self.beta}"
         return fam.value
 
-    def support_points(self, tail_mass: float = 1e-12) -> np.ndarray | None:
-        """Support grid for discrete families, None for continuous ones.
+    def support_points(self) -> np.ndarray | None:
+        """Support grid of the finite families (bernoulli, knary), else None.
 
-        For the Poisson family the grid is a symmetric truncation of the
-        integers carrying at least ``1 - tail_mass`` of the untilted mass.
+        Poisson has no finite grid: its support is all the integers.
         """
         fam = self.family
         if fam == Family.BERNOULLI:
             return np.array([-1.0, 1.0])
         if fam == Family.KNARY:
             return 2.0 * np.arange(self.k) / (self.k - 1) - 1.0
-        if fam == Family.POISSON:
-            # mass outside [-n, n] equals the upper one-sided tail beyond n,
-            # so scan the one-sided cumulative sum up to 1 - tail_mass
-            lam = self.lam
-            target = 1.0 - tail_mass
-            log_term = -lam
-            cum = math.exp(log_term)
-            n = 0
-            while cum < target and n < 10_000_000:
-                n += 1
-                log_term += math.log(lam) - math.log(n)
-                cum += math.exp(log_term)
-            return np.arange(-n, n + 1, dtype=float)
         return None
 
     def contains(self, r):

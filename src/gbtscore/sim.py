@@ -56,9 +56,11 @@ def default_alternatives(n: int) -> AlternativeSet:
     return AlternativeSet.from_ids(f"a{i:0{width}d}" for i in range(n))
 
 
-def erdos_renyi_graph(n: int, edge_prob: float, rng) -> list[tuple[int, int]]:
-    """Each unordered pair is kept independently with probability edge_prob.
+def erdos_renyi_graph(n: int, edge_prob: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``(i, j)`` of a random graph on n alternatives.
 
+    Each unordered pair is kept independently with probability edge_prob.
+    The edges come as int64 index arrays with ``i < j``, in row-major order.
     Consumes one uniform per candidate pair regardless of edge_prob, so runs
     with the same seed share randomness across sweep values.
     """
@@ -68,30 +70,29 @@ def erdos_renyi_graph(n: int, edge_prob: float, rng) -> list[tuple[int, int]]:
         raise ParameterError(f"edge probability must lie in [0, 1], got {edge_prob!r}")
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < edge_prob
-    return list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return iu[keep], ju[keep]
 
 
-def sample_ground_truth(n, sigma_dagger_sq: float, rng) -> ScoreVector:
+def sample_ground_truth(n: int, sigma_dagger_sq: float, rng) -> ScoreVector:
     """i.i.d. centered Gaussian scores with the given variance."""
     if not sigma_dagger_sq > 0:
         raise ParameterError(f"ground-truth variance must be positive, got {sigma_dagger_sq!r}")
-    alts = n if isinstance(n, AlternativeSet) else default_alternatives(int(n))
-    values = rng.normal(0.0, math.sqrt(sigma_dagger_sq), size=len(alts))
-    return ScoreVector(alts, values)
+    values = rng.normal(0.0, math.sqrt(sigma_dagger_sq), size=n)
+    return ScoreVector(default_alternatives(n), values)
 
 
 def synthesize_comparisons(law: RootLaw, truth: ScoreVector,
                            pairs, rng) -> ComparisonMatrix:
-    """One conditionally independent tilted draw per pair at theta_i - theta_j."""
+    """One conditionally independent tilted draw per edge at theta_i - theta_j.
+
+    ``pairs = (i, j)`` are index arrays into ``truth.alternatives``, the
+    format :func:`erdos_renyi_graph` returns.
+    """
     alts = truth.alternatives
-    index_pairs = np.array([(int(i), int(j)) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
-    i, j = index_pairs[:, 0], index_pairs[:, 1]
+    i, j = (np.asarray(x, dtype=np.int64) for x in pairs)
     if np.any((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= len(alts))):
         raise ParameterError("pair indices out of range")
-    if not i.size:
-        return ComparisonMatrix(alts, [], law=law)
-    tilt = truth.values[i] - truth.values[j]
-    draws = law.sample_comparison(tilt, rng)
+    draws = law.sample_comparison(truth.values[i] - truth.values[j], rng)
     return ComparisonMatrix(alts, law=law, indices=(i, j, draws))
 
 

@@ -40,7 +40,7 @@ def connected_instance(law, n, edge_prob, seed, scale=1.0):
         pairs = erdos_renyi_graph(n, edge_prob, rng)
         truth = sample_ground_truth(n, scale, rng)
         matrix = synthesize_comparisons(law, truth, pairs, rng)
-        if pairs and len(connected_components(matrix)) == 1:
+        if pairs[0].size and len(connected_components(matrix)) == 1:
             return matrix
 
 
@@ -56,7 +56,7 @@ def test_criterion_01_gaussian_closed_form():
         sigma_sq = float(rng.uniform(0.4, 2.0))
         law = RootLaw.gaussian(sigma0_sq)
         pairs = erdos_renyi_graph(n, edge_prob, rng)
-        if not pairs:
+        if not pairs[0].size:
             continue
         truth = sample_ground_truth(n, 1.0, rng)
         matrix = synthesize_comparisons(law, truth, pairs, rng)
@@ -85,7 +85,7 @@ def test_criterion_02_zero_sum_and_sup_norm():
             n = int(rng.integers(4, 26))
             sigma_sq = float(rng.uniform(0.4, 2.5))
             pairs = erdos_renyi_graph(n, 0.5, rng)
-            if not pairs:
+            if not pairs[0].size:
                 continue
             truth = sample_ground_truth(n, 1.0, rng)
             matrix = synthesize_comparisons(law, truth, pairs, rng)
@@ -279,7 +279,7 @@ def test_criterion_09_m_matrix_structure():
         law = parse_model_spec(ALL_SPECS[trial % len(ALL_SPECS)])
         n = int(rng.integers(3, 13))
         pairs = erdos_renyi_graph(n, 0.6, rng)
-        if not pairs:
+        if not pairs[0].size:
             continue
         truth = sample_ground_truth(n, 1.0, rng)
         matrix = synthesize_comparisons(law, truth, pairs, rng)

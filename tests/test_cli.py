@@ -194,6 +194,13 @@ class TestCheck:
         assert rc == 0
         assert "unbounded" in capsys.readouterr().out
 
+    def test_resilience_large_poisson_lambda_converges(self, tmp_path, capsys):
+        # edits draw from the untilted law, not uniformly from a +-10^4 grid
+        rc = main(["check", "--suite", "resilience", "--model", "poisson:lambda=1e4",
+                   "--probes", "50", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "50 probes" in capsys.readouterr().out
+
     def test_moments_pass(self, tmp_path, capsys):
         rc = main(["check", "--suite", "moments", "--model", "beta:beta=2.5",
                    "--seed", "4", "--out-dir", str(tmp_path)])

@@ -23,7 +23,7 @@ def instance(law, n, edge_prob, seed):
     rng = np.random.default_rng(seed)
     while True:
         pairs = erdos_renyi_graph(n, edge_prob, rng)
-        if pairs:
+        if pairs[0].size:
             break
     truth = sample_ground_truth(n, 1.0, rng)
     return synthesize_comparisons(law, truth, pairs, rng)
@@ -120,7 +120,7 @@ class TestMonotoneStep:
                 assert law.contains(m.value(*res.pair) + res.delta), (spec, res)
 
     def test_poisson_steps_by_one_beyond_the_truncated_grid(self):
-        # support_points() stops at +-14 for lambda=1; the integers do not
+        # values far in the tail at lambda=1 still step by one
         law = RootLaw.poisson(1.0)
         m = ComparisonMatrix(AlternativeSet.from_ids(["a", "b", "c"]),
                              [("a", "b", 20.0), ("b", "c", -20.0)], law=law)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ALL_SPECS
 from gbtscore import (ExperimentConfig, ParameterError, PriorConfig, RootLaw,
                       ScoreVector, SolverOptions, connected_components,
                       default_alternatives, erdos_renyi_graph,
                       map_estimate, map_estimate_gaussian, norm_error,
-                      restrict_matrix, run_experiment_discretization,
+                      parse_model_spec, restrict_matrix, run_experiment_discretization,
                       run_experiment_regularization, run_experiment_sparsity,
                       sample_ground_truth, synthesize_comparisons)
 
@@ -24,18 +25,35 @@ SMALL = ExperimentConfig(
 )
 
 
+EDGE = (np.array([0]), np.array([1]))
+
+
+def edge_set(pairs):
+    i, j = pairs
+    return set(zip(i.tolist(), j.tolist()))
+
+
 class TestGraph:
     def test_extremes(self):
         rng = np.random.default_rng(0)
-        assert erdos_renyi_graph(10, 0.0, rng) == []
-        full = erdos_renyi_graph(10, 1.0, rng)
-        assert len(full) == 45
-        assert all(i < j for i, j in full)
+        i, j = erdos_renyi_graph(10, 0.0, rng)
+        assert i.size == j.size == 0
+        i, j = erdos_renyi_graph(10, 1.0, rng)
+        assert i.size == j.size == 45
+        assert np.all(i < j)
+
+    def test_seeded_graph_index_arrays(self):
+        i, j = erdos_renyi_graph(12, 0.5, np.random.default_rng(9))
+        assert i.dtype == j.dtype == np.int64
+        assert i.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 3, 3, 3,
+                              3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 7, 7, 7, 10]
+        assert j.tolist() == [2, 9, 10, 11, 2, 3, 7, 9, 11, 11, 4, 6, 8, 9,
+                              10, 5, 6, 7, 10, 7, 8, 11, 7, 11, 9, 10, 11, 11]
 
     def test_edge_count_concentration(self):
         rng = np.random.default_rng(1)
         n, p = 60, 0.3
-        count = len(erdos_renyi_graph(n, p, rng))
+        count = erdos_renyi_graph(n, p, rng)[0].size
         total = n * (n - 1) // 2
         sd = math.sqrt(total * p * (1 - p))
         assert abs(count - total * p) < 5 * sd
@@ -43,7 +61,7 @@ class TestGraph:
     def test_edge_count_concentration_full_scale(self):
         # 500 alternatives at p=0.2: mean pair count 24950, binomial band
         rng = np.random.default_rng(2)
-        count = len(erdos_renyi_graph(500, 0.2, rng))
+        count = erdos_renyi_graph(500, 0.2, rng)[0].size
         total = 500 * 499 // 2
         assert total * 0.2 == 24950
         sd = math.sqrt(total * 0.2 * 0.8)
@@ -52,12 +70,12 @@ class TestGraph:
     def test_deterministic(self):
         a = erdos_renyi_graph(12, 0.5, np.random.default_rng(9))
         b = erdos_renyi_graph(12, 0.5, np.random.default_rng(9))
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_common_randomness_across_densities(self):
         # denser graphs contain the sparser ones drawn from the same seed
-        lo = set(erdos_renyi_graph(12, 0.2, np.random.default_rng(3)))
-        hi = set(erdos_renyi_graph(12, 0.7, np.random.default_rng(3)))
+        lo = edge_set(erdos_renyi_graph(12, 0.2, np.random.default_rng(3)))
+        hi = edge_set(erdos_renyi_graph(12, 0.7, np.random.default_rng(3)))
         assert lo <= hi
 
 
@@ -96,7 +114,7 @@ class TestSynthesis:
         law = RootLaw.knary(3)
         counts = {-1.0: 0, 0.0: 0, 1.0: 0}
         for _ in range(3000):
-            m = synthesize_comparisons(law, truth, [(0, 1)], rng)
+            m = synthesize_comparisons(law, truth, EDGE, rng)
             counts[m.value("a0000", "a0001")] += 1
         for c in counts.values():
             assert abs(c - 1000) < 5 * math.sqrt(3000 * (1 / 3) * (2 / 3))
@@ -105,11 +123,22 @@ class TestSynthesis:
         rng = np.random.default_rng(7)
         law = RootLaw.uniform()
         truth = ScoreVector(default_alternatives(2), np.array([0.8, -0.4]))
-        draws = [synthesize_comparisons(law, truth, [(0, 1)], rng).value("a0000", "a0001")
+        draws = [synthesize_comparisons(law, truth, EDGE, rng).value("a0000", "a0001")
                  for _ in range(4000)]
         expect = law.cumulant_prime(1.2)
         sd = math.sqrt(law.cumulant_double_prime(1.2) / 4000)
         assert abs(np.mean(draws) - expect) < 5 * sd
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_no_pairs_draw_nothing(self, spec):
+        law = parse_model_spec(spec)
+        truth = ScoreVector(default_alternatives(3), np.array([0.5, 0.0, -0.5]))
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        none = np.array([], dtype=np.int64)
+        m = synthesize_comparisons(law, truth, (none, none), rng)
+        assert m.num_pairs == 0 and m.law == law
+        assert rng.bit_generator.state == state
 
 
 class TestNormError:

@@ -24,7 +24,7 @@ def random_instance(law, n, edge_prob, seed, truth_scale=1.0):
     rng = np.random.default_rng(seed)
     while True:
         pairs = erdos_renyi_graph(n, edge_prob, rng)
-        if pairs:
+        if pairs[0].size:
             break
     truth = sample_ground_truth(n, truth_scale, rng)
     return synthesize_comparisons(law, truth, pairs, rng)
