@@ -2,8 +2,11 @@
 
 Subcommands: ``fit`` (scores from a comparison CSV), ``sample`` (synthesize
 comparisons), ``check`` (randomized diagnostics with a pass/fail table), and
-``experiment`` (the reconstruction sweeps). Every run writes a manifest JSON
-with the fully resolved parameters next to its outputs.
+``experiment`` (the reconstruction sweeps). Every command, ``check``
+included, writes ``manifest.json`` with the fully resolved parameters next to
+its outputs. ``fit`` also writes ``solve_report.json``: ``converged``,
+``iterations``, ``final_gradient_norm``, ``certified_error`` and
+``objective``, plus ``error`` when the solve fails. JSON keys are sorted.
 
 Exit codes: 0 ok, 2 input error, 3 solver error, 4 domain (support) error,
 5 property violation.
@@ -12,11 +15,9 @@ Exit codes: 0 ok, 2 input error, 3 solver error, 4 domain (support) error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import __version__
 from .comparisons import (read_comparisons_csv, read_scores_csv,
                           write_comparisons_csv, write_scores_csv)
 from .diagnostics import (ResilienceProbeConfig, measure_resilience,
-                          monotonicity_sweep, resilience_bound, write_probe_csv)
+                          monotonicity_sweep, write_probe_csv)
 from .errors import (GbtError, InputError, ParameterError, SolverError,
                      SupportError)
 from .rootlaws import RootLaw, parse_model_spec
@@ -40,28 +41,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_DOMAIN = 4
 EXIT_VIOLATION = 5
-
-
-@dataclass
-class RunManifest:
-    """Resolved parameters of one CLI run; written beside every output."""
-
-    command: str
-    model: str | None
-    sigma_sq: float | None
-    inputs: dict
-    outputs: list[str]
-    seed: int | None
-    tolerance: float
-    max_iterations: int
-    version: str = __version__
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -185,17 +164,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, command, inputs, outputs) -> RunManifest:
-    return RunManifest(
-        command=command,
-        model=args.model,
-        sigma_sq=args.sigma_sq,
-        inputs=inputs,
-        outputs=[str(o) for o in outputs],
-        seed=args.seed,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iter,
-    )
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(args, out: Path, command: str, inputs: dict, outputs) -> None:
+    """The resolved parameters of this run, as ``manifest.json`` beside its outputs."""
+    _write_json(out / "manifest.json", dict(
+        command=command, model=args.model, sigma_sq=args.sigma_sq, inputs=inputs,
+        outputs=[str(o) for o in outputs], seed=args.seed, tolerance=args.tolerance,
+        max_iterations=args.max_iter, version=__version__))
+
+
+def _solve_report(report) -> dict:
+    """The fields of ``solve_report.json``; a failed solve adds ``error``."""
+    names = ("converged", "iterations", "final_gradient_norm", "certified_error", "objective")
+    return {name: getattr(report, name) for name in names}
 
 
 # ------------------------------------------------------------------ commands
@@ -211,27 +197,12 @@ def cmd_fit(args) -> int:
         vec, report = map_estimate(law, prior, matrix, _solver_options(args))
     except SolverError as exc:
         if exc.report is not None:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump({"converged": False, "error": str(exc),
-                           "iterations": exc.report.iterations,
-                           "final_gradient_norm": exc.report.final_gradient_norm},
-                          fh, indent=2)
-                fh.write("\n")
+            _write_json(report_path, {**_solve_report(exc.report), "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     write_scores_csv(vec.alternatives, vec.values, scores_path)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_gradient_norm": report.final_gradient_norm,
-            "certified_error": report.certified_error,
-            "objective": report.objective,
-        }, fh, indent=2)
-        fh.write("\n")
-    manifest = _manifest(args, "fit", {"input": str(args.input)},
-                         [scores_path, report_path])
-    manifest.write(out)
+    _write_json(report_path, _solve_report(report))
+    _write_manifest(args, out, "fit", {"input": str(args.input)}, [scores_path, report_path])
     print(f"wrote {scores_path} ({len(vec.alternatives)} alternatives, "
           f"certified error {report.certified_error:.3e})")
     return EXIT_OK
@@ -260,16 +231,15 @@ def cmd_sample(args) -> int:
     truth_path = out / "ground_truth.csv"
     write_comparisons_csv(matrix, comp_path)
     write_scores_csv(truth.alternatives, truth.values, truth_path)
-    manifest = _manifest(args, "sample",
-                         {"scores": args.scores, "a": args.a,
-                          "sigma_dagger_sq": args.sigma_dagger_sq, "pc": args.pc},
-                         [comp_path, truth_path])
-    manifest.write(out)
+    _write_manifest(args, out, "sample",
+                    {"scores": args.scores, "a": args.a,
+                     "sigma_dagger_sq": args.sigma_dagger_sq, "pc": args.pc},
+                    [comp_path, truth_path])
     print(f"wrote {comp_path} ({matrix.num_pairs} comparisons) and {truth_path}")
     return EXIT_OK
 
 
-def _check_monotonicity(args, law, prior, options):
+def _check_monotonicity(args, law, prior, options, out):
     rng = np.random.default_rng(args.seed)
     rows = []
     violations = 0
@@ -292,28 +262,27 @@ def _check_monotonicity(args, law, prior, options):
                 violations += 1
     rows.append(("monotonicity", f"{checked} single-pair increases",
                  "pass" if violations == 0 else f"FAIL ({violations} violations)"))
-    return rows, violations == 0
+    return rows, violations == 0, []
 
 
-def _check_resilience(args, law, prior, options):
+def _check_resilience(args, law, prior, options, out):
     config = ResilienceProbeConfig(n_probes=args.probes, seed=args.seed)
     base = read_comparisons_csv(args.input, law=law) if args.input else None
     probe = measure_resilience(law, prior, config, options, base=base)
-    out = _out_dir(args)
     csv_path = out / "resilience_probes.csv"
     write_probe_csv(probe, csv_path)
-    bound = resilience_bound(law, prior)
-    if math.isinf(bound):
+    if math.isinf(probe.bound):
         status = f"pass (unbounded domain; max observed ratio {probe.observed_ratio:.4g})"
         ok = True
     else:
-        ok = probe.observed_ratio < bound
+        ok = probe.observed_ratio < probe.bound
         status = ("pass" if ok else "FAIL") + \
-            f" (max ratio {probe.observed_ratio:.4g} vs bound {bound:.4g})"
-    return [("resilience", f"{len(probe.records)} probes -> {csv_path}", status)], ok
+            f" (max ratio {probe.observed_ratio:.4g} vs bound {probe.bound:.4g})"
+    return ([("resilience", f"{len(probe.records)} probes -> {csv_path}", status)], ok,
+            [csv_path])
 
 
-def _check_moments(args, law, prior, options):
+def _check_moments(args, law, prior, options, out):
     rng = np.random.default_rng(args.seed)
     n = 100_000
     rows = []
@@ -331,19 +300,24 @@ def _check_moments(args, law, prior, options):
         rows.append((f"moments tilt={tilt:+.0f}",
                      f"z_mean={z_mean:+.2f} z_var={z_var:+.2f}",
                      "pass" if good else "FAIL"))
-    return rows, ok
+    return rows, ok, []
 
 
 def cmd_check(args) -> int:
     law = _require_model(args)
     prior = PriorConfig(args.sigma_sq)
     options = _solver_options(args)
+    out = _out_dir(args)
+    # each suite returns its table rows, whether it passed, and the files it wrote
     suites = {
         "monotonicity": _check_monotonicity,
         "resilience": _check_resilience,
         "moments": _check_moments,
     }
-    rows, ok = suites[args.suite](args, law, prior, options)
+    rows, ok, written = suites[args.suite](args, law, prior, options, out)
+    _write_manifest(args, out, f"check:{args.suite}",
+                    {"input": args.input, "instances": args.instances, "probes": args.probes},
+                    written)
     width = max(len(r[0]) for r in rows)
     detail = max(len(r[1]) for r in rows)
     for name, info, status in rows:
@@ -368,10 +342,8 @@ def cmd_experiment(args) -> int:
     result = runner(config)
     out = _out_dir(args)
     written = result.write_csv(out)
-    manifest = _manifest(args, f"experiment:{args.which}",
-                         {"a": args.a, "pc": args.pc, "seeds": args.seeds},
-                         written)
-    manifest.write(out)
+    _write_manifest(args, out, f"experiment:{args.which}",
+                    {"a": args.a, "pc": args.pc, "seeds": args.seeds}, written)
     for note in result.notes:
         print(f"note: {note}")
     for param, mean, std in result.summary_rows():

@@ -16,7 +16,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class ComparisonMatrix:
     float64 values oriented from i to j, sorted by ``i * A + j``, unique,
     and read-only (``writeable=False``).
 
-    Entries come either as ``entries`` (a mapping ``(a, b) -> value`` or
-    ``(a, b, value)`` triples, by id) or as ``indices = (i, j, r)``: arrays
+    Entries come either as ``entries`` (``(a, b, value)`` triples, by id)
+    or as ``indices = (i, j, r)``: arrays
     of alternative indices and values oriented from i to j, in any order and
     orientation. Either way they are checked in input order, and the first
     faulty entry raises: an unknown id or index (MismatchError), a self pair
@@ -120,7 +120,7 @@ class ComparisonMatrix:
     """
 
     def __init__(self, alternatives: AlternativeSet,
-                 entries: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]] = (),
+                 entries: Iterable[tuple[str, str, float]] = (),
                  law: RootLaw | None = None, *,
                  indices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                  rows: Sequence[int] | None = None):
@@ -128,8 +128,6 @@ class ComparisonMatrix:
         self.law = law
         n_alts = len(alternatives)
         if indices is None:
-            if isinstance(entries, Mapping):
-                entries = ((a, b, v) for (a, b), v in entries.items())
             given = list(entries)
             index = alternatives._index
             i = np.fromiter((index.get(t[0], -1) for t in given), np.int64, len(given))
@@ -211,9 +209,6 @@ class ComparisonMatrix:
     @property
     def num_pairs(self) -> int:
         return int(self._keys.size)
-
-    def __len__(self) -> int:
-        return self.num_pairs
 
     def has_pair(self, a: str, b: str) -> bool:
         key, _ = self._key(a, b)
@@ -395,14 +390,21 @@ def read_comparisons_csv(path, law: RootLaw | None = None) -> ComparisonMatrix:
     return ComparisonMatrix(alts, law=law, indices=(i, j, np.array(values)), rows=lines)
 
 
+def _write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV: the header, then the rows.
+
+    Callers give floats as ``repr`` strings, so values read back exactly.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_comparisons_csv(matrix: ComparisonMatrix, path) -> None:
     """Write canonical-orientation rows sorted by (a, b) ids."""
     rows = sorted(matrix.iter_entries(), key=lambda t: (t[0], t[1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COMPARISON_HEADER)
-        for a, b, v in rows:
-            writer.writerow([a, b, repr(v)])
+    _write_csv(path, _COMPARISON_HEADER, ((a, b, repr(v)) for a, b, v in rows))
 
 
 def read_scores_csv(path):
@@ -429,8 +431,5 @@ def write_scores_csv(alternatives: AlternativeSet, values, path) -> None:
     """Write ``a,theta`` rows sorted by id."""
     values = np.asarray(values, dtype=float)
     order = sorted(range(len(alternatives)), key=lambda i: alternatives.ids[i])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORE_HEADER)
-        for i in order:
-            writer.writerow([alternatives.ids[i], repr(float(values[i]))])
+    _write_csv(path, _SCORE_HEADER,
+               ((alternatives.ids[i], repr(float(values[i]))) for i in order))

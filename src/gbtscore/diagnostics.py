@@ -29,13 +29,12 @@ inconclusive rather than failed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind
+from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind, _write_csv
 from .errors import EditError, ParameterError
 from .rootlaws import Family, RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
@@ -193,7 +192,6 @@ class ResilienceProbeConfig:
 
 @dataclass
 class ResilienceProbe:
-    base: ComparisonMatrix
     records: list[ProbeRecord] = field(default_factory=list)
     observed_ratio: float = 0.0
     bound: float = math.inf
@@ -264,7 +262,7 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     fixed_base = base is not None
     if base is None:
         base = _random_base(law, rng)
-    probe = ResilienceProbe(base=base, bound=bound)
+    probe = ResilienceProbe(bound=bound)
 
     if config.scaling_factors:
         base_vec, _ = map_estimate(law, prior, base, options)
@@ -309,12 +307,9 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
 
 
 def write_probe_csv(probe: ResilienceProbe, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edit_kind", "pair", "delta_distance", "l2_change", "ratio", "bound"])
-        for rec in probe.records:
-            writer.writerow([rec.edit_kind, rec.pair, rec.delta_distance,
-                             repr(rec.l2_change), repr(rec.ratio), repr(rec.bound)])
+    _write_csv(path, ["edit_kind", "pair", "delta_distance", "l2_change", "ratio", "bound"],
+               ((rec.edit_kind, rec.pair, rec.delta_distance, repr(rec.l2_change),
+                 repr(rec.ratio), repr(rec.bound)) for rec in probe.records))
 
 
 # ------------------------------------------------------------------ new comparisons

@@ -416,20 +416,11 @@ def _wrap(values, scalar):
 
 def _grid_sample(pts, th, rng):
     """Draws from equal-weight support points tilted by exp(theta * pts)."""
-    n = th.size
-    if n > 1 and np.all(th == th[0]):
-        # shared tilt: one pmf, many draws
-        logits = th[0] * pts
-        logits -= logits.max()
-        cdf = np.cumsum(np.exp(logits))
-        u = rng.random(n) * cdf[-1]
-        idx = np.searchsorted(cdf, u, side="left")
-    else:
-        logits = th[:, None] * pts[None, :]
-        logits -= logits.max(axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(logits), axis=1)
-        u = rng.random(n) * cdf[:, -1]
-        idx = (cdf < u[:, None]).sum(axis=1)
+    logits = th[:, None] * pts[None, :]
+    logits -= logits.max(axis=1, keepdims=True)
+    cdf = np.cumsum(np.exp(logits), axis=1)
+    u = rng.random(th.size) * cdf[:, -1]
+    idx = (cdf < u[:, None]).sum(axis=1)
     return pts[np.minimum(idx, pts.size - 1)]
 
 

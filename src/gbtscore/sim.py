@@ -14,10 +14,11 @@ Experiments:
   unregularized point (run on the giant connected component, where the
   maximum-likelihood scores are well defined).
 
-Defaults are desk scale (50 alternatives, seeds 1..10); pass a larger
-``n_alternatives`` for full-size runs. Identical configs produce
-bit-identical results: every seed owns a fresh generator and the draw order
-is fixed (graph, truth, comparisons).
+Each sweep runs a fixed grid (the module constants below) on uniform
+comparisons over unit-variance scores. Defaults are desk scale (50
+alternatives, seeds 1..10); pass a larger ``n_alternatives`` for full-size
+runs. Identical configs produce bit-identical results: every seed owns a
+fresh generator and the draw order is fixed (graph, truth, comparisons).
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from .comparisons import AlternativeSet, ComparisonMatrix
+from .comparisons import AlternativeSet, ComparisonMatrix, _write_csv
 from .errors import ParameterError, SolverError
 from .rootlaws import RootLaw
 from .solver import (PriorConfig, ScoreVector, SolverOptions,
@@ -123,17 +125,19 @@ def restrict_matrix(matrix: ComparisonMatrix, indices) -> tuple[ComparisonMatrix
 
 # ------------------------------------------------------------------ experiments
 
+_SIGMA_DAGGER_SQ = 1.0
+_GEN_LAW = RootLaw.uniform()
+_EDGE_PROB_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)
+_FIT_LAWS = tuple(RootLaw.knary(k) for k in (2, 3, 5, 9, 21)) + (RootLaw.uniform(),)
+_INV_SIGMA_SQ_GRID = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_alternatives: int = 50
     edge_prob: float = 0.2
-    sigma_dagger_sq: float = 1.0
-    gen_law: RootLaw = RootLaw.uniform()
-    fit_laws: tuple[RootLaw, ...] = ()
     prior: PriorConfig = PriorConfig(1.0)
     seeds: tuple[int, ...] = tuple(range(1, 11))
-    edge_prob_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8)
-    inv_sigma_sq_grid: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
     solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
@@ -162,7 +166,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class ExperimentResult:
     name: str
-    config: ExperimentConfig
     points: tuple[SweepPoint, ...]
     notes: tuple[str, ...] = ()
     failures: tuple[str, ...] = ()
@@ -183,22 +186,14 @@ class ExperimentResult:
             yield p.param, p.mean, p.std
 
     def write_csv(self, out_dir) -> list[str]:
-        import csv
-        from pathlib import Path
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         per_seed = out / f"{self.name}_per_seed.csv"
         summary = out / f"{self.name}_summary.csv"
-        with open(per_seed, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param", "seed", "norm_error"])
-            for param, seed, value in self.per_seed_rows():
-                w.writerow([param, seed, repr(value)])
-        with open(summary, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param", "mean", "std"])
-            for param, mean, std in self.summary_rows():
-                w.writerow([param, repr(mean), repr(std)])
+        _write_csv(per_seed, ["param", "seed", "norm_error"],
+                   ((param, seed, repr(value)) for param, seed, value in self.per_seed_rows()))
+        _write_csv(summary, ["param", "mean", "std"],
+                   ((param, repr(mean), repr(std)) for param, mean, std in self.summary_rows()))
         return [str(per_seed), str(summary)]
 
 
@@ -209,8 +204,8 @@ def _fmt(x: float) -> str:
 def _dataset(config: ExperimentConfig, seed: int, edge_prob: float):
     rng = np.random.default_rng(seed)
     pairs = erdos_renyi_graph(config.n_alternatives, edge_prob, rng)
-    truth = sample_ground_truth(config.n_alternatives, config.sigma_dagger_sq, rng)
-    matrix = synthesize_comparisons(config.gen_law, truth, pairs, rng)
+    truth = sample_ground_truth(config.n_alternatives, _SIGMA_DAGGER_SQ, rng)
+    matrix = synthesize_comparisons(_GEN_LAW, truth, pairs, rng)
     return truth, matrix
 
 
@@ -242,7 +237,7 @@ def _sweep(name, config, key, labels, fits, notes=()) -> ExperimentResult:
         rows.append(row)
     points = tuple(SweepPoint.from_values(label, config.seeds, [row[k] for row in rows])
                    for k, label in enumerate(labels))
-    return ExperimentResult(name, config, points, notes=tuple(notes),
+    return ExperimentResult(name, points, notes=tuple(notes),
                             failures=tuple(failures))
 
 
@@ -250,17 +245,13 @@ def run_experiment_sparsity(config: ExperimentConfig) -> ExperimentResult:
     """Error versus graph density; fit model = generating model."""
 
     def fits(seed):
-        for pc in config.edge_prob_grid:
+        for pc in _EDGE_PROB_GRID:
             truth, matrix = _dataset(config, seed, pc)
-            yield partial(_error, config.gen_law, config.prior, matrix, config.solver,
+            yield partial(_error, _GEN_LAW, config.prior, matrix, config.solver,
                           truth.values)
 
-    labels = [_fmt(pc) for pc in config.edge_prob_grid]
+    labels = [_fmt(pc) for pc in _EDGE_PROB_GRID]
     return _sweep("sparsity", config, "pc", labels, fits)
-
-
-def _default_fit_laws() -> tuple[RootLaw, ...]:
-    return tuple(RootLaw.knary(k) for k in (2, 3, 5, 9, 21)) + (RootLaw.uniform(),)
 
 
 def _fit_label(law: RootLaw) -> str:
@@ -269,14 +260,13 @@ def _fit_label(law: RootLaw) -> str:
 
 def run_experiment_discretization(config: ExperimentConfig) -> ExperimentResult:
     """K-level fits against the continuous fit on shared uniform data."""
-    fit_laws = config.fit_laws or _default_fit_laws()
 
     def fits(seed):
         truth, matrix = _dataset(config, seed, config.edge_prob)
-        for law in fit_laws:
+        for law in _FIT_LAWS:
             yield partial(_error, law, config.prior, matrix, config.solver, truth.values)
 
-    labels = [_fit_label(law) for law in fit_laws]
+    labels = [_fit_label(law) for law in _FIT_LAWS]
     return _sweep("discretization", config, "fit", labels, fits)
 
 
@@ -291,7 +281,7 @@ def run_experiment_regularization(config: ExperimentConfig) -> ExperimentResult:
     def fits(seed):
         truth, matrix = _dataset(config, seed, config.edge_prob)
         comps = connected_components(matrix)
-        for inv in config.inv_sigma_sq_grid:
+        for inv in _INV_SIGMA_SQ_GRID:
             prior, sub_matrix, idx = PriorConfig(math.inf), matrix, slice(None)
             if inv > 0:
                 prior = PriorConfig(1.0 / inv)
@@ -300,8 +290,8 @@ def run_experiment_regularization(config: ExperimentConfig) -> ExperimentResult:
                 notes.append(
                     f"seed={seed}: unregularized point restricted to the giant "
                     f"component ({len(comps[0])}/{len(matrix.alternatives)} alternatives)")
-            yield partial(_error, config.gen_law, prior, sub_matrix, config.solver,
+            yield partial(_error, _GEN_LAW, prior, sub_matrix, config.solver,
                           truth.values[idx])
 
-    labels = [_fmt(inv) for inv in config.inv_sigma_sq_grid]
+    labels = [_fmt(inv) for inv in _INV_SIGMA_SQ_GRID]
     return _sweep("regularization", config, "inv_sigma_sq", labels, fits, notes)

@@ -81,6 +81,25 @@ class TestFit:
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["converged"] is False
 
+    def test_failure_report_is_success_report_plus_error(self, tmp_path):
+        rows = ["a,b,r"] + [f"n{i},n{j},0.8" for i in range(8) for j in range(i + 1, 8)]
+        inp = write(tmp_path / "hard.csv", "\n".join(rows) + "\n")
+        reports = {}
+        for name, extra in (("ok", []), ("failed", ["--max-iter", "1"])):
+            out = tmp_path / name
+            main(["fit", "--input", inp, "--model", "uniform", "--tolerance", "1e-14",
+                  *extra, "--out-dir", str(out)])
+            text = (out / "solve_report.json").read_text()
+            reports[name] = json.loads(text)
+            assert list(reports[name]) == sorted(reports[name])
+            assert text.endswith("}\n")
+        ok, failed = reports["ok"], reports["failed"]
+        assert ok["converged"] is True and failed["converged"] is False
+        assert set(failed) == set(ok) | {"error"}
+        assert failed["iterations"] == 1
+        assert failed["certified_error"] > 1e-14
+        assert "no convergence" in failed["error"]
+
     def test_missing_model_exit_2(self, tmp_path):
         inp = write(tmp_path / "p.csv", "a,b,r\nx,y,0.5\n")
         assert main(["fit", "--input", inp]) == 2
@@ -217,13 +236,36 @@ class TestCheck:
                    "--input", inp, "--probes", "10", "--out-dir", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("suite", ["monotonicity", "resilience", "moments"])
+    def test_writes_manifest(self, tmp_path, suite):
+        outputs = ["resilience_probes.csv"] if suite == "resilience" else []
+        out = tmp_path / "new" / "dir"
+        rc = main(["check", "--suite", suite, "--model", "knary:K=5", "--instances", "2",
+                   "--probes", "5", "--seed", "3", "--out-dir", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == f"check:{suite}"
+        assert manifest["inputs"] == {"input": None, "instances": 2, "probes": 5}
+        assert manifest["outputs"] == [str(out / name) for name in outputs]
+        assert manifest["model"] == "knary:K=5" and manifest["seed"] == 3
+        assert all((out / name).exists() for name in outputs)
+
+    def test_manifest_names_input_dataset(self, tmp_path):
+        inp = write(tmp_path / "d.csv", "a,b,r\nx,y,0.5\ny,z,-0.25\nx,z,0.75\n")
+        rc = main(["check", "--suite", "resilience", "--model", "uniform",
+                   "--input", inp, "--probes", "4", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"input": inp, "instances": 10, "probes": 4}
+        assert manifest["outputs"] == [str(tmp_path / "out" / "resilience_probes.csv")]
+
     def test_violation_exit_5(self, tmp_path, monkeypatch):
         # wire check: a reported bound excess must map to exit code 5
         import gbtscore.cli as cli_mod
 
         def fake(law, prior, config, options=None, base=None):
             from gbtscore.diagnostics import ProbeRecord, ResilienceProbe
-            probe = ResilienceProbe(base=None, bound=1.0)
+            probe = ResilienceProbe(bound=1.0)
             probe.records = [ProbeRecord("change", "x|y", 1, 9.0, 9.0, 1.0)]
             probe.observed_ratio = 9.0
             return probe

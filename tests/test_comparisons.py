@@ -250,9 +250,8 @@ def reference_contains(law, r):
 
 def reference_build(alts, entries, law):
     """Canonical {(i, j): r} of the entries, or the first entry's error."""
-    triples = ((a, b, v) for (a, b), v in entries.items()) if isinstance(entries, dict) else entries
     store = {}
-    for a, b, value in triples:
+    for a, b, value in entries:
         value = float(value)
         ia, ib = alts.index_of(a), alts.index_of(b)
         if ia == ib:
@@ -338,8 +337,6 @@ def build_case(draw):
         else:
             continue
         entries.insert(draw(st.integers(0, len(entries))), bad)
-    if draw(st.booleans()):
-        entries = {(a, b): v for a, b, v in entries}
     return alts, entries, law
 
 
@@ -359,8 +356,6 @@ class TestAgainstDictReference:
     @settings(max_examples=200, deadline=None)
     def test_index_path_matches_reference(self, case):
         alts, triples, law = case
-        if isinstance(triples, dict):
-            triples = [(a, b, v) for (a, b), v in triples.items()]
         # an unknown id becomes an out-of-range index
         index = {a: alts.index_of(a) for a in alts}
         i, j = ([index.get(t[k], len(alts)) for t in triples] for k in (0, 1))

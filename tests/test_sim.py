@@ -18,9 +18,6 @@ SMALL = ExperimentConfig(
     n_alternatives=14,
     seeds=(1, 2, 3),
     edge_prob=0.4,
-    edge_prob_grid=(0.2, 0.6),
-    inv_sigma_sq_grid=(0.0, 0.5, 1.0),
-    fit_laws=(RootLaw.knary(3), RootLaw.uniform()),
     solver=SolverOptions(tolerance=1e-9),
 )
 
@@ -172,19 +169,19 @@ class TestRunners:
         r1 = run_experiment_sparsity(SMALL)
         r2 = run_experiment_sparsity(SMALL)
         assert r1 == r2
-        assert [p.param for p in r1.points] == ["0.2", "0.6"]
+        assert [p.param for p in r1.points] == ["0.05", "0.1", "0.2", "0.4", "0.8"]
         assert all(len(p.values) == 3 for p in r1.points)
         assert not r1.failures
-        assert r1.point("0.2").mean > r1.point("0.6").mean
+        assert r1.point("0.2").mean > r1.point("0.8").mean
 
     def test_discretization_baseline_last(self):
         r = run_experiment_discretization(SMALL)
-        assert [p.param for p in r.points] == ["3", "uniform"]
+        assert [p.param for p in r.points] == ["2", "3", "5", "9", "21", "uniform"]
         assert r.point("3").mean >= r.point("uniform").mean - 5 * r.point("uniform").std
 
     def test_regularization_includes_free_point(self):
         r = run_experiment_regularization(SMALL)
-        assert [p.param for p in r.points] == ["0.0", "0.5", "1.0"]
+        assert [p.param for p in r.points] == ["0.0", "0.125", "0.25", "0.5", "1.0", "2.0", "4.0"]
         assert not r.failures
         assert all(np.isfinite(p.mean) for p in r.points)
 
@@ -209,8 +206,8 @@ class TestRunners:
         summary = (tmp_path / "sparsity_summary.csv").read_text().strip().splitlines()
         assert per_seed[0] == "param,seed,norm_error"
         assert summary[0] == "param,mean,std"
-        assert len(per_seed) == 1 + 2 * 3
-        assert len(summary) == 1 + 2
+        assert len(per_seed) == 1 + 5 * 3
+        assert len(summary) == 1 + 5
         assert len(written) == 2
 
     def test_isolated_alternatives_scored_zero(self):
