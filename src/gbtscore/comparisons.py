@@ -408,23 +408,28 @@ def write_comparisons_csv(matrix: ComparisonMatrix, path) -> None:
 
 
 def read_scores_csv(path):
-    """Read an ``a,theta`` CSV; returns (AlternativeSet, values ndarray)."""
-    pairs: list[tuple[str, float]] = []
+    """Read an ``a,theta`` CSV of finite scores and unique ids; returns
+    (AlternativeSet, values ndarray). A malformed row precedes a duplicate id."""
+    rows: list[tuple[int, str, float]] = []
     for lineno, (a, raw) in _csv_rows(path, _SCORE_HEADER):
         a, raw = a.strip(), raw.strip()
         if not a:
             raise InputError("empty alternative id", row=lineno)
         try:
-            pairs.append((a, float(raw)))
+            value = float(raw)
         except ValueError:
             raise InputError(f"bad score value {raw!r}", row=lineno) from None
-    if not pairs:
+        if not np.isfinite(value):
+            raise InputError(f"non-finite score value {raw!r}", row=lineno)
+        rows.append((lineno, a, value))
+    if not rows:
         raise InputError("no score rows")
-    ids = [a for a, _ in pairs]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate alternative ids in score file")
-    alts = AlternativeSet.from_ids(ids)
-    return alts, np.array([v for _, v in pairs], dtype=float)
+    first: dict[str, int] = {}
+    for line, a, _ in rows:
+        if first.setdefault(a, line) != line:
+            raise InputError(f"duplicate alternative id {a!r}, first on row {first[a]}", row=line)
+    alts = AlternativeSet.from_ids([a for _, a, _ in rows])
+    return alts, np.array([v for _, _, v in rows], dtype=float)
 
 
 def write_scores_csv(alternatives: AlternativeSet, values, path) -> None:

@@ -13,12 +13,8 @@ class ParameterError(GbtError):
     """A model or configuration parameter is outside its valid domain."""
 
 
-class InputError(GbtError):
-    """Malformed input data (CSV structure, duplicate rows, bad literals).
-
-    Carries ``row`` (1-based line number, header included) when the problem
-    is attributable to a specific line.
-    """
+class _RowError(GbtError):
+    """Carries ``row``, the 1-based line number (header included), when one line is at fault."""
 
     def __init__(self, message, row=None):
         if row is not None:
@@ -27,14 +23,12 @@ class InputError(GbtError):
         self.row = row
 
 
-class SupportError(GbtError):
+class InputError(_RowError):
+    """Malformed input data (CSV structure, duplicate rows, bad literals)."""
+
+
+class SupportError(_RowError):
     """A comparison value lies outside the model's support closure."""
-
-    def __init__(self, message, row=None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
 
 
 class EditError(GbtError):

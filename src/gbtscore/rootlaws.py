@@ -27,6 +27,10 @@ beta        [-1, 1]     beta > 0      numeric (Gauss-Jacobi quadrature)
 beta2       [-1, 1]     none          log(3 (t cosh t - sinh t) / t^3)
 ========== =========== ============= =================================
 
+Spec strings read ``family[:key=value]``. The table ``_PARAMS`` alone says
+which key and :class:`RootLaw` field each family takes; the parser, the
+printer (``spec_string``) and the constructor's checks all read it.
+
 All laws are even, so Phi is even, Phi' odd, Phi'' even and positive; the
 implementation reduces every evaluation to theta >= 0 to make those
 symmetries exact in floating point.
@@ -63,6 +67,15 @@ class Family(enum.Enum):
     BETA_TWO = "beta2"
 
 
+# family -> (spec-string key, RootLaw field); a family not listed takes none
+_PARAMS = {
+    Family.KNARY: ("K", "k"),
+    Family.POISSON: ("lambda", "lam"),
+    Family.GAUSSIAN: ("sigma0sq", "sigma0_sq"),
+    Family.BETA: ("beta", "beta"),
+}
+
+
 # coefficients of 3 (t cosh t - sinh t) / t^3 = sum c_m t^(2m); c_m = 3(2m+2)/(2m+3)!
 _BETA2_COEF = np.array([3.0 * (2 * m + 2) / math.factorial(2 * m + 3) for m in range(10)])
 
@@ -91,20 +104,18 @@ class RootLaw:
 
     def __post_init__(self):
         fam = self.family
+        key, field = _PARAMS.get(fam, (None, None))
+        for _, other in _PARAMS.values():
+            if other != field and getattr(self, other) is not None:
+                raise ParameterError(f"model {fam.value!r} takes no parameter {other!r}")
+        value = getattr(self, field) if field else None
         if fam == Family.KNARY:
-            if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-                raise ParameterError(f"knary requires integer K >= 2, got {self.k!r}")
-        elif fam == Family.POISSON:
-            if self.lam is None or not 0 < self.lam < math.inf:
-                raise ParameterError(f"poisson requires finite lambda > 0, got {self.lam!r}")
-        elif fam == Family.GAUSSIAN:
-            if self.sigma0_sq is None or not 0 < self.sigma0_sq < math.inf:
-                raise ParameterError(
-                    f"gaussian requires finite sigma0sq > 0, got {self.sigma0_sq!r}")
-        elif fam == Family.BETA:
-            # the Gauss-Jacobi rule needs the exponent beta - 1 > -1 in floating point
-            if self.beta is None or not (self.beta < math.inf and self.beta - 1.0 > -1.0):
-                raise ParameterError(f"beta requires finite beta > 0, got {self.beta!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+                raise ParameterError(f"knary requires integer K >= 2, got {value!r}")
+        # the Gauss-Jacobi rule needs the exponent beta - 1 > -1 in floating point
+        elif field and (value is None or not 0 < value < math.inf
+                        or fam == Family.BETA and not value - 1.0 > -1.0):
+            raise ParameterError(f"{fam.value} requires finite {key} > 0, got {value!r}")
 
     # ---------------------------------------------------------------- factories
 
@@ -158,16 +169,8 @@ class RootLaw:
     @property
     def spec_string(self) -> str:
         """Canonical model-spec string, parseable by :func:`parse_model_spec`."""
-        fam = self.family
-        if fam == Family.KNARY:
-            return f"knary:K={self.k}"
-        if fam == Family.POISSON:
-            return f"poisson:lambda={self.lam}"
-        if fam == Family.GAUSSIAN:
-            return f"gaussian:sigma0sq={self.sigma0_sq}"
-        if fam == Family.BETA:
-            return f"beta:beta={self.beta}"
-        return fam.value
+        key, field = _PARAMS.get(self.family, (None, None))
+        return f"{self.family.value}:{key}={getattr(self, field)}" if key else self.family.value
 
     def support_points(self) -> np.ndarray | None:
         """Support grid of the finite families (bernoulli, knary), else None.
@@ -366,10 +369,13 @@ class RootLaw:
 
         ``theta`` scalar with ``size=None`` returns a float; ``size=n``
         returns n i.i.d. draws; an array ``theta`` (size must be None)
-        returns one draw per entry. The random source is supplied by the
-        caller so parallel reproducibility stays in the caller's hands.
+        returns one draw per entry; a non-finite tilt raises ParameterError.
+        The random source is supplied by the caller so parallel
+        reproducibility stays in the caller's hands.
         """
         arr = np.asarray(theta, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ParameterError(f"tilt must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
         if arr.ndim == 0:
             th = np.full(1 if size is None else int(size), float(arr))
             out = self._sample(th, rng)
@@ -403,7 +409,7 @@ class RootLaw:
         up = rng.random(th.size) < expit(p - q)
         try:
             counts = rng.poisson(np.where(up, p, q))
-        except ValueError:  # rate beyond numpy's Poisson range, or NaN
+        except ValueError:  # rate beyond numpy's Poisson range
             worst = float(th[np.argmax(np.abs(th))])
             raise ParameterError(
                 f"tilt {worst:g} too large for Poisson sampling (lambda={self.lam:g})") from None
@@ -451,19 +457,8 @@ def _beta_rejection_sample(beta, th, rng):
     return out
 
 
-_FAMILY_PARAMS = {
-    "bernoulli": (),
-    "knary": ("k",),
-    "poisson": ("lambda",),
-    "gaussian": ("sigma0sq",),
-    "uniform": (),
-    "beta": ("beta",),
-    "beta2": (),
-}
-
-
 def parse_model_spec(text: str) -> RootLaw:
-    """Parse a model-spec string like ``knary:K=21`` or ``gaussian:sigma0sq=1.0``.
+    """Parse a model-spec string ``family[:key=value]``, e.g. ``knary:K=21``.
 
     Family names and parameter keys are case-insensitive; unknown families,
     unknown keys, missing or malformed parameters raise ParameterError.
@@ -472,46 +467,22 @@ def parse_model_spec(text: str) -> RootLaw:
         raise ParameterError(f"empty model spec {text!r}")
     head, _, tail = text.strip().partition(":")
     name = head.strip().lower()
-    if name not in _FAMILY_PARAMS:
-        raise ParameterError(f"unknown model family {head.strip()!r}")
-    wanted = _FAMILY_PARAMS[name]
-    params: dict[str, str] = {}
-    if tail.strip():
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            key = key.strip().lower()
-            if not eq or not key:
-                raise ParameterError(f"malformed parameter {item.strip()!r} in {text!r}")
-            if key not in wanted:
-                raise ParameterError(f"unknown parameter {key!r} for model {name!r}")
-            if key in params:
-                raise ParameterError(f"duplicate parameter {key!r} in {text!r}")
-            params[key] = value.strip()
-    missing = [k for k in wanted if k not in params]
-    if missing:
-        raise ParameterError(f"model {name!r} requires parameter {missing[0]!r}")
-
-    def as_float(key):
-        try:
-            return float(params[key])
-        except ValueError:
-            raise ParameterError(f"parameter {key!r} must be a number, got {params[key]!r}") from None
-
-    if name == "bernoulli":
-        return RootLaw.bernoulli()
-    if name == "knary":
-        raw = params["k"]
-        try:
-            k = int(raw)
-        except ValueError:
-            raise ParameterError(f"parameter 'K' must be an integer, got {raw!r}") from None
-        return RootLaw.knary(k)
-    if name == "poisson":
-        return RootLaw.poisson(as_float("lambda"))
-    if name == "gaussian":
-        return RootLaw.gaussian(as_float("sigma0sq"))
-    if name == "uniform":
-        return RootLaw.uniform()
-    if name == "beta":
-        return RootLaw.beta_law(as_float("beta"))
-    return RootLaw.beta_two()
+    try:
+        family = Family(name)
+    except ValueError:
+        raise ParameterError(f"unknown model family {head.strip()!r}") from None
+    key, field = _PARAMS.get(family, (None, None))
+    if key is None:
+        if tail.strip():
+            raise ParameterError(f"model {name!r} takes no parameter, got {tail.strip()!r}")
+        return RootLaw(family)
+    given, eq, value = tail.partition("=")
+    if not eq or given.strip().lower() != key.lower():
+        raise ParameterError(f"model {name!r} requires {key}=<value>, got {tail.strip()!r}")
+    value = value.strip()
+    convert, kind = (int, "an integer") if family == Family.KNARY else (float, "a number")
+    try:
+        number = convert(value)
+    except ValueError:
+        raise ParameterError(f"parameter {key!r} must be {kind}, got {value!r}") from None
+    return RootLaw(family, **{field: number})

@@ -283,6 +283,10 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
     def certified(gn: float) -> float:
         return 2.0 * prior.sigma_sq * gn if prior.is_regularized else math.inf
 
+    def fail(message: str) -> SolverError:
+        report = SolveReport(iterations, gn, err, False, current, trail)
+        return SolverError(message, report=report)
+
     while True:
         # one tilted_moments pass per accepted iterate feeds the gradient and
         # the Hessian; the line search's trial points need Phi alone (loss)
@@ -297,16 +301,13 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
             vec = ScoreVector(matrix.alternatives, t)
             return vec, SolveReport(iterations, gn, err, True, current, trail)
         if iterations >= options.max_iterations:
-            report = SolveReport(iterations, gn, err, False, current, trail)
-            raise SolverError(
-                f"no convergence after {iterations} iterations "
-                f"(gradient norm {gn:.3e})", report=report)
+            raise fail(f"no convergence after {iterations} iterations "
+                       f"(gradient norm {gn:.3e})")
 
         step = _solve_newton_system(prior, matrix, var, g)
         descent = float(g @ step)
         if not descent < 0:
-            report = SolveReport(iterations, gn, err, False, current, trail)
-            raise SolverError("Newton direction is not a descent direction", report=report)
+            raise fail("Newton direction is not a descent direction")
 
         # Armijo backtracking from the full step; once the predicted decrease
         # falls below the loss's floating-point resolution the test carries no
@@ -319,16 +320,14 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                 cand -= cand.mean()
             value = loss(law, prior, matrix, cand)
             if math.isnan(value):
-                report = SolveReport(iterations, gn, err, False, current, trail)
-                raise SolverError("loss evaluated to NaN", report=report)
+                raise fail("loss evaluated to NaN")
             below_resolution = current + _ARMIJO_C * scale * descent == current
             if (below_resolution and np.isfinite(value)) or \
                     value <= current + _ARMIJO_C * scale * descent:
                 break
             scale *= 0.5
             if scale < 1e-18:
-                report = SolveReport(iterations, gn, err, False, current, trail)
-                raise SolverError("line search failed to make progress", report=report)
+                raise fail("line search failed to make progress")
         t, current = cand, value
         iterations += 1
 

@@ -170,6 +170,14 @@ class TestSample:
         echoed = (tmp_path / "out" / "ground_truth.csv").read_text()
         assert "u,0.5" in echoed
 
+    def test_non_finite_score_exit_2_names_row(self, tmp_path, capsys):
+        scores = write(tmp_path / "t.csv", "a,theta\nu,nan\nv,0.5\nw,0.0\n")
+        rc = main(["sample", "--model", "knary:K=5", "--scores", scores, "--pc", "1.0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: row 2: non-finite score value 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "comparisons.csv").exists()
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["sample", "--model", "uniform", "--pc", "0.5"]) == 2
         scores = write(tmp_path / "t.csv", "a,theta\nu,0.5\n")

@@ -226,6 +226,18 @@ class TestCsv:
         assert alts == ABC
         assert np.array_equal(values, [0.25, -0.5, 0.125, 0.125])
 
+    def test_scores_duplicate_id_names_both_rows(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("a,theta\nu,0.5\nv,0.1\nu,0.2\n")
+        with pytest.raises(InputError, match="duplicate alternative id 'u', first on row 2") as err:
+            read_scores_csv(path)
+        assert err.value.row == 4
+        # a malformed row anywhere is still reported before the duplicate
+        path.write_text("a,theta\nu,0.5\nu,0.2\nw,abc\n")
+        with pytest.raises(InputError, match="bad score value") as err:
+            read_scores_csv(path)
+        assert err.value.row == 4
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b,r\n")

@@ -1,12 +1,17 @@
 """Model catalog: cumulant identities, parsing, support, samplers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbtscore
 from conftest import ALL_SPECS, bounded_series_mgf, oracle_moments, pochhammer
 from gbtscore import Family, ParameterError, RootLaw, parse_model_spec
 from gbtscore.rootlaws import _beta_rule_size, _jacobi_rule
@@ -26,6 +31,8 @@ class TestParameters:
         lambda: RootLaw.beta_law(0.0), lambda: RootLaw.beta_law(-2.0),
         lambda: RootLaw.poisson(math.inf), lambda: RootLaw.gaussian(math.inf),
         lambda: RootLaw.beta_law(math.inf), lambda: RootLaw.beta_law(1e-17),
+        lambda: RootLaw(Family.BERNOULLI, k=3), lambda: RootLaw(Family.UNIFORM, beta=2.0),
+        lambda: RootLaw(Family.KNARY, k=5, lam=1.0),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ParameterError):
@@ -57,6 +64,16 @@ class TestParsing:
         for spec in ALL_SPECS:
             law = parse_model_spec(spec)
             assert parse_model_spec(law.spec_string) == law
+        # README's catalog strings in mixed case, spaced around '=', against
+        # the laws their factories build
+        for text, law in [("Bernoulli", RootLaw.bernoulli()), ("kNary:k = 21", RootLaw.knary(21)),
+                          ("POISSON:Lambda = 1.0", RootLaw.poisson(1.0)),
+                          ("Gaussian:SIGMA0SQ =1.0", RootLaw.gaussian(1.0)),
+                          ("UniForm", RootLaw.uniform()), ("Beta:Beta= 2.5", RootLaw.beta_law(2.5)),
+                          ("BeTa2", RootLaw.beta_two())]:
+            parsed = parse_model_spec(text)
+            assert parsed == law and hash(parsed) == hash(law)
+            assert parsed.spec_string.lower() == text.lower().replace(" ", "")
 
     @pytest.mark.parametrize("text", [
         "", "frobnitz", "knary", "knary:N=3", "knary:K=2,K=3", "knary:K=two",
@@ -384,6 +401,37 @@ class TestSampling:
         law = RootLaw.poisson(1.0)
         with pytest.raises(ParameterError, match=f"tilt {tilt:g}"):
             law.sample_comparison(np.array([0.5, tilt]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "knary:K=5", "poisson:lambda=1.0",
+                                      "gaussian:sigma0sq=1.0", "uniform"])
+    @pytest.mark.parametrize("tilt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_rejected(self, spec, tilt):
+        law = parse_model_spec(spec)
+        with pytest.raises(ParameterError, match="tilt must be finite"):
+            law.sample_comparison(np.array([0.5, tilt]), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="tilt must be finite"):
+            law.sample_comparison(tilt, np.random.default_rng(0), size=3)
+
+    def test_non_finite_tilt_rejected_by_rejection_samplers(self):
+        # the beta samplers' accept test is never true at a non-finite tilt,
+        # so a missing check loops forever: run it in a child under a timeout
+        code = (
+            "import numpy as np\n"
+            "from gbtscore import ParameterError, parse_model_spec\n"
+            "for spec in ('beta:beta=2.5', 'beta2'):\n"
+            "    for tilt in (float('nan'), float('inf'), float('-inf')):\n"
+            "        try:\n"
+            "            parse_model_spec(spec).sample_comparison(\n"
+            "                np.array([0.5, tilt]), np.random.default_rng(0))\n"
+            "        except ParameterError:\n"
+            "            continue\n"
+            "        raise SystemExit(f'{spec} sampled at tilt {tilt}')\n")
+        src = str(Path(gbtscore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
 
     def test_untilted_binary_is_fair(self):
         rng = np.random.default_rng(0)
