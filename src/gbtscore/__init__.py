@@ -5,47 +5,20 @@ into comparison distributions; this package fits the reverse map with a
 certified strongly convex solver and ships the diagnostics (monotonicity,
 bounded influence of single edits, neutral comparisons) that make the
 estimator auditable.
+
+Each module's ``__all__`` is its export list; the package re-exports the
+union of those lists and adds nothing of its own but ``__version__``.
 """
 
 __version__ = "0.1.0"
 
-from .comparisons import (AlternativeSet, ComparisonEdit, ComparisonMatrix,
-                          EditKind, read_comparisons_csv, read_scores_csv,
-                          write_comparisons_csv, write_scores_csv)
-from .diagnostics import (MonotoneStepResult, ResilienceProbe,
-                          ResilienceProbeConfig, check_monotone_step,
-                          measure_resilience, monotonicity_sweep,
-                          neutral_comparison, resilience_bound,
-                          write_probe_csv)
-from .errors import (EditError, GbtError, InputError, MismatchError,
-                     ParameterError, SolverError, SupportError)
-from .rootlaws import Family, RootLaw, parse_model_spec
-from .sim import (ExperimentConfig, ExperimentResult, SweepPoint,
-                  default_alternatives, erdos_renyi_graph, norm_error,
-                  restrict_matrix, run_experiment_discretization,
-                  run_experiment_regularization, run_experiment_sparsity,
-                  sample_ground_truth, synthesize_comparisons)
-from .solver import (PriorConfig, ScoreVector, SolveReport, SolverOptions,
-                     connected_components, gradient, hessian, loss,
-                     map_estimate, map_estimate_gaussian)
+from . import comparisons, diagnostics, errors, rootlaws, sim, solver
+from .comparisons import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .rootlaws import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "AlternativeSet", "ComparisonEdit", "ComparisonMatrix", "EditKind",
-    "read_comparisons_csv", "read_scores_csv", "write_comparisons_csv",
-    "write_scores_csv",
-    "MonotoneStepResult", "ResilienceProbe", "ResilienceProbeConfig",
-    "check_monotone_step", "measure_resilience", "monotonicity_sweep",
-    "neutral_comparison", "resilience_bound", "write_probe_csv",
-    "EditError", "GbtError", "InputError", "MismatchError", "ParameterError",
-    "SolverError", "SupportError",
-    "Family", "RootLaw", "parse_model_spec",
-    "ExperimentConfig", "ExperimentResult", "SweepPoint",
-    "default_alternatives", "erdos_renyi_graph", "norm_error",
-    "restrict_matrix", "run_experiment_discretization",
-    "run_experiment_regularization", "run_experiment_sparsity",
-    "sample_ground_truth", "synthesize_comparisons",
-    "PriorConfig", "ScoreVector", "SolveReport", "SolverOptions",
-    "connected_components", "gradient", "hessian", "loss", "map_estimate",
-    "map_estimate_gaussian",
-]
+__all__ = ["__version__", *comparisons.__all__, *diagnostics.__all__, *errors.__all__,
+           *rootlaws.__all__, *sim.__all__, *solver.__all__]

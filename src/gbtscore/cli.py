@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sim
 from .comparisons import (read_comparisons_csv, read_scores_csv,
                           write_comparisons_csv, write_scores_csv)
 from .diagnostics import (ResilienceProbeConfig, measure_resilience,
@@ -30,9 +30,7 @@ from .diagnostics import (ResilienceProbeConfig, measure_resilience,
 from .errors import (GbtError, InputError, ParameterError, SolverError,
                      SupportError)
 from .rootlaws import RootLaw, parse_model_spec
-from .sim import (ExperimentConfig, erdos_renyi_graph,
-                  run_experiment_discretization, run_experiment_regularization,
-                  run_experiment_sparsity, sample_ground_truth,
+from .sim import (ExperimentConfig, erdos_renyi_graph, sample_ground_truth,
                   synthesize_comparisons)
 from .solver import (PriorConfig, ScoreVector, SolverOptions, map_estimate)
 
@@ -62,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="estimate scores from a comparison CSV")
+    p_fit.set_defaults(handler=cmd_fit)
     _add_common(p_fit)
     p_fit.add_argument("--input", required=True, help="comparisons CSV (a,b,r)")
 
     p_sample = sub.add_parser("sample", help="synthesize a comparison dataset")
+    p_sample.set_defaults(handler=cmd_sample)
     _add_common(p_sample)
     p_sample.add_argument("--scores", help="ground-truth scores CSV (a,theta)")
     p_sample.add_argument("--a", type=int, help="number of alternatives to generate")
@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--pc", type=float, required=True, help="edge probability")
 
     p_check = sub.add_parser("check", help="run a diagnostic suite")
+    p_check.set_defaults(handler=cmd_check)
     _add_common(p_check)
-    p_check.add_argument("--suite", required=True,
-                         choices=["monotonicity", "resilience", "moments"])
+    p_check.add_argument("--suite", required=True, choices=list(_SUITES))
     p_check.add_argument("--input", help="optional comparisons CSV as the base instance")
     p_check.add_argument("--instances", type=int, default=10,
                          help="random instances for the monotonicity suite")
@@ -84,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="random edits for the resilience suite")
 
     p_exp = sub.add_parser("experiment", help="run a reconstruction sweep")
+    p_exp.set_defaults(handler=cmd_experiment)
     _add_common(p_exp)
-    p_exp.add_argument("--which", required=True,
-                       choices=["sparsity", "discretization", "regularization"])
+    p_exp.add_argument("--which", required=True, choices=list(_EXPERIMENTS))
     p_exp.add_argument("--a", type=int, default=50, help="number of alternatives")
     p_exp.add_argument("--pc", type=float, default=0.2,
                        help="edge probability for the fixed-graph sweeps")
@@ -246,6 +246,8 @@ def _check_monotonicity(args, law, prior, options, out):
     if args.input:
         bases = [read_comparisons_csv(args.input, law=law)]
     else:
+        if args.instances < 1:
+            raise InputError("--instances must be at least 1")
         bases = []
         while len(bases) < args.instances:
             n = int(rng.integers(4, 9))
@@ -303,18 +305,20 @@ def _check_moments(args, law, prior, options, out):
     return rows, ok, []
 
 
+# each suite returns its table rows, whether it passed, and the files it wrote
+_SUITES = {
+    "monotonicity": _check_monotonicity,
+    "resilience": _check_resilience,
+    "moments": _check_moments,
+}
+
+
 def cmd_check(args) -> int:
     law = _require_model(args)
     prior = PriorConfig(args.sigma_sq)
     options = _solver_options(args)
     out = _out_dir(args)
-    # each suite returns its table rows, whether it passed, and the files it wrote
-    suites = {
-        "monotonicity": _check_monotonicity,
-        "resilience": _check_resilience,
-        "moments": _check_moments,
-    }
-    rows, ok, written = suites[args.suite](args, law, prior, options, out)
+    rows, ok, written = _SUITES[args.suite](args, law, prior, options, out)
     _write_manifest(args, out, f"check:{args.suite}",
                     {"input": args.input, "instances": args.instances, "probes": args.probes},
                     written)
@@ -323,6 +327,15 @@ def cmd_check(args) -> int:
     for name, info, status in rows:
         print(f"{name:<{width}}  {info:<{detail}}  {status}")
     return EXIT_OK if ok else EXIT_VIOLATION
+
+
+# experiment name -> runner in ``sim``, looked up there on each call so that a
+# rebound runner (a test double, a profiler's wrapper) is the one that runs
+_EXPERIMENTS = {
+    "sparsity": "run_experiment_sparsity",
+    "discretization": "run_experiment_discretization",
+    "regularization": "run_experiment_regularization",
+}
 
 
 def cmd_experiment(args) -> int:
@@ -334,12 +347,7 @@ def cmd_experiment(args) -> int:
         seeds=seeds,
         solver=_solver_options(args),
     )
-    runner = {
-        "sparsity": run_experiment_sparsity,
-        "discretization": run_experiment_discretization,
-        "regularization": run_experiment_regularization,
-    }[args.which]
-    result = runner(config)
+    result = getattr(sim, _EXPERIMENTS[args.which])(config)
     out = _out_dir(args)
     written = result.write_csv(out)
     _write_manifest(args, out, f"experiment:{args.which}",
@@ -361,13 +369,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        handler = {
-            "fit": cmd_fit,
-            "sample": cmd_sample,
-            "check": cmd_check,
-            "experiment": cmd_experiment,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except SupportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

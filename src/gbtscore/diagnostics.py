@@ -50,6 +50,7 @@ __all__ = [
     "measure_resilience",
     "write_probe_csv",
     "neutral_comparison",
+    "resilience_bound",
 ]
 
 RESILIENCE_COEFFICIENT = 4.0 * math.sqrt(2.0)

@@ -4,6 +4,9 @@ Every error raised by this package derives from :class:`GbtError`, so callers
 can catch one type. The CLI maps subclasses onto exit codes.
 """
 
+__all__ = ["GbtError", "ParameterError", "InputError", "SupportError", "EditError",
+           "MismatchError", "SolverError"]
+
 
 class GbtError(Exception):
     """Base class for all errors raised by gbtscore."""

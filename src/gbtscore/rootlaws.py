@@ -113,7 +113,7 @@ class RootLaw:
             if not isinstance(value, int) or isinstance(value, bool) or value < 2:
                 raise ParameterError(f"knary requires integer K >= 2, got {value!r}")
         # the Gauss-Jacobi rule needs the exponent beta - 1 > -1 in floating point
-        elif field and (value is None or not 0 < value < math.inf
+        elif field and (value is None or isinstance(value, bool) or not 0 < value < math.inf
                         or fam == Family.BETA and not value - 1.0 > -1.0):
             raise ParameterError(f"{fam.value} requires finite {key} > 0, got {value!r}")
 

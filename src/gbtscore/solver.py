@@ -117,9 +117,6 @@ class ScoreVector:
     def difference(self, a: str, b: str) -> float:
         return self.value_of(a) - self.value_of(b)
 
-    def as_dict(self) -> dict[str, float]:
-        return {a: float(v) for a, v in zip(self.alternatives.ids, self.values)}
-
     def __eq__(self, other):
         return (isinstance(other, ScoreVector)
                 and self.alternatives == other.alternatives
@@ -215,20 +212,20 @@ def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
     return sorted((g.tolist() for g in groups), key=lambda g: (-len(g), g[0]))
 
 
-def _solve_newton_system(prior, matrix, weights, g):
+def _solve_newton_system(prior, matrix, weights, g, rtol=1e-10):
+    """The step x with H x = -g, H the Hessian for pair ``weights``; ``rtol``
+    is the CG path's relative residual."""
     a = g.size
     use_dense = a <= _DENSE_LIMIT
-    gauge = 0.0
-    if not prior.is_regularized:
-        # the likelihood Hessian annihilates constants; pin the gauge with a
-        # rank-one term (the gradient is orthogonal to constants, so the
-        # Newton step is unchanged on the zero-sum subspace)
-        gauge = 1.0
+    # the likelihood Hessian annihilates constants; without a prior, pin the
+    # gauge with a rank-one term (the gradient is orthogonal to constants, so
+    # the Newton step is unchanged on the zero-sum subspace)
+    gauge = not prior.is_regularized
 
     h = _hessian_matrix(prior, matrix, weights, use_dense)
     if use_dense:
         if gauge:
-            h += (h.diagonal().mean() / a) * np.ones((a, a))
+            h += h.diagonal().mean() / a
         try:
             c, low = scipy.linalg.cho_factor(h, check_finite=False)
             return scipy.linalg.cho_solve((c, low), -g, check_finite=False)
@@ -242,7 +239,7 @@ def _solve_newton_system(prior, matrix, weights, g):
     else:
         op = h
     pre = LinearOperator((a, a), matvec=lambda x: x / diag)
-    sol, info = sparse_cg(op, -g, rtol=1e-10, atol=0.0, M=pre, maxiter=50 * a)
+    sol, info = sparse_cg(op, -g, rtol=rtol, atol=0.0, M=pre, maxiter=50 * a)
     if info != 0:
         raise SolverError(f"conjugate gradient did not converge (info={info})")
     return sol
@@ -349,14 +346,6 @@ def map_estimate_gaussian(sigma0_sq: float, prior: PriorConfig,
     a = len(matrix.alternatives)
     i, j, r = matrix.index_arrays
     rbar = np.bincount(i, r, a) - np.bincount(j, r, a)
-    dense = a <= _DENSE_LIMIT
-    m = _hessian_matrix(prior, matrix, np.full(i.size, sigma0_sq), dense)
-    if dense:
-        values = scipy.linalg.solve(m, rbar, assume_a="pos")
-    else:
-        diag = m.diagonal()
-        pre = LinearOperator((a, a), matvec=lambda x: x / diag)
-        values, info = sparse_cg(m, rbar, rtol=1e-12, atol=0.0, M=pre, maxiter=100 * a)
-        if info != 0:
-            raise SolverError(f"conjugate gradient did not converge (info={info})")
+    # the system matrix is the Newton Hessian with every pair weight sigma0^2
+    values = _solve_newton_system(prior, matrix, np.full(i.size, sigma0_sq), -rbar, rtol=1e-12)
     return ScoreVector(matrix.alternatives, values)

@@ -206,6 +206,13 @@ class TestCheck:
         assert rc == 0
         assert "pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_exit_2(self, tmp_path, capsys, instances):
+        rc = main(["check", "--suite", "monotonicity", "--model", "bernoulli",
+                   "--instances", instances, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "--instances must be at least 1" in capsys.readouterr().err
+
     def test_resilience_bounded_passes(self, tmp_path, capsys):
         rc = main(["check", "--suite", "resilience", "--model", "knary:K=21",
                    "--sigma-sq", "1.0", "--probes", "25", "--seed", "2",

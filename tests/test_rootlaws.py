@@ -33,6 +33,8 @@ class TestParameters:
         lambda: RootLaw.beta_law(math.inf), lambda: RootLaw.beta_law(1e-17),
         lambda: RootLaw(Family.BERNOULLI, k=3), lambda: RootLaw(Family.UNIFORM, beta=2.0),
         lambda: RootLaw(Family.KNARY, k=5, lam=1.0),
+        lambda: RootLaw(Family.POISSON, lam=True), lambda: RootLaw(Family.GAUSSIAN, sigma0_sq=True),
+        lambda: RootLaw(Family.BETA, beta=True),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ParameterError):

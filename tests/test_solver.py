@@ -427,6 +427,15 @@ class TestGaussianClosedForm:
         sparse = map_estimate_gaussian(1.4, PriorConfig(0.7), m)
         assert np.abs(dense.values - sparse.values).max() < 1e-10
 
+    def test_cg_path_matches_certified_newton(self):
+        # above the dense limit both solves run Jacobi-preconditioned CG
+        law = RootLaw.gaussian(1.0)
+        m = random_instance(law, 2100, 0.009, 17)
+        assert len(m.alternatives) > solver._DENSE_LIMIT and m.num_pairs > 19_000
+        direct = map_estimate_gaussian(1.0, PriorConfig(1.0), m)
+        newton, _ = map_estimate(law, PriorConfig(1.0), m, SolverOptions(tolerance=1e-11))
+        assert np.linalg.norm(direct.values - newton.values) < 1e-10
+
 
 class TestCertifiedStopping:
     def test_bound_dominates_true_distance(self):
