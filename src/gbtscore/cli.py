@@ -239,7 +239,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _check_monotonicity(args, law, prior, options, out):
+def _check_monotonicity(args, law, prior, options):
     rng = np.random.default_rng(args.seed)
     rows = []
     violations = 0
@@ -267,11 +267,11 @@ def _check_monotonicity(args, law, prior, options, out):
     return rows, violations == 0, []
 
 
-def _check_resilience(args, law, prior, options, out):
+def _check_resilience(args, law, prior, options):
     config = ResilienceProbeConfig(n_probes=args.probes, seed=args.seed)
     base = read_comparisons_csv(args.input, law=law) if args.input else None
     probe = measure_resilience(law, prior, config, options, base=base)
-    csv_path = out / "resilience_probes.csv"
+    csv_path = _out_dir(args) / "resilience_probes.csv"
     write_probe_csv(probe, csv_path)
     if math.isinf(probe.bound):
         status = f"pass (unbounded domain; max observed ratio {probe.observed_ratio:.4g})"
@@ -284,14 +284,17 @@ def _check_resilience(args, law, prior, options, out):
             [csv_path])
 
 
-def _check_moments(args, law, prior, options, out):
+def _check_moments(args, law, prior, options):
     rng = np.random.default_rng(args.seed)
     n = 100_000
     rows = []
     ok = True
     for tilt in (-2.0, 0.0, 2.0):
-        draws = law.sample_comparison(tilt, rng, size=n)
         mean, var = law.tilted_moments(tilt)
+        if not (math.isfinite(mean) and 0.0 < var < math.inf):
+            raise ParameterError(f"model {law.spec_string} gives unusable moments at tilt "
+                                 f"{tilt:+g} (mean {mean:g}, variance {var:g})")
+        draws = law.sample_comparison(tilt, rng, size=n)
         z_mean = (draws.mean() - mean) / math.sqrt(var / n)
         sample_var = draws.var(ddof=1)
         fourth = np.mean((draws - draws.mean()) ** 4)
@@ -305,7 +308,8 @@ def _check_moments(args, law, prior, options, out):
     return rows, ok, []
 
 
-# each suite returns its table rows, whether it passed, and the files it wrote
+# each suite validates its inputs before it writes, and returns its table rows,
+# whether it passed, and the files it wrote
 _SUITES = {
     "monotonicity": _check_monotonicity,
     "resilience": _check_resilience,
@@ -317,8 +321,8 @@ def cmd_check(args) -> int:
     law = _require_model(args)
     prior = PriorConfig(args.sigma_sq)
     options = _solver_options(args)
-    out = _out_dir(args)
-    rows, ok, written = _SUITES[args.suite](args, law, prior, options, out)
+    rows, ok, written = _SUITES[args.suite](args, law, prior, options)
+    out = _out_dir(args)  # only now: a rejected check leaves no directory behind
     _write_manifest(args, out, f"check:{args.suite}",
                     {"input": args.input, "instances": args.instances, "probes": args.probes},
                     written)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind, _write_csv
 from .errors import EditError, ParameterError
-from .rootlaws import Family, RootLaw
+from .rootlaws import RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
 from .solver import PriorConfig, ScoreVector, SolverOptions, map_estimate
 
@@ -83,16 +83,16 @@ class MonotoneStepResult:
 def _next_step(law: RootLaw, value: float, step: float) -> float | None:
     """The increase that takes value one admissible step up, or None at the top.
 
-    Discrete grids step to the next point and Poisson values by one; a
-    continuous value moves by ``step`` but at most halfway to the supremum,
-    and within 1e-6 of it admits no increase.
+    Finite grids step to the next point and other discrete laws (Poisson) by
+    one; a continuous value moves by ``step`` but at most halfway to the
+    supremum, and within 1e-6 of it admits no increase.
     """
-    if law.family == Family.POISSON:
-        return 1.0
     pts = law.support_points()
     if pts is not None:
         above = pts[pts > value + 1e-12]
         return float(above[0] - value) if above.size else None
+    if law.support_kind == "discrete":
+        return 1.0
     room = law.r_max - value
     return None if room < 1e-6 else min(step, 0.5 * room)
 

@@ -128,7 +128,7 @@ def restrict_matrix(matrix: ComparisonMatrix, indices) -> tuple[ComparisonMatrix
 _SIGMA_DAGGER_SQ = 1.0
 _GEN_LAW = RootLaw.uniform()
 _EDGE_PROB_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)
-_FIT_LAWS = tuple(RootLaw.knary(k) for k in (2, 3, 5, 9, 21)) + (RootLaw.uniform(),)
+_FIT_LAWS = {**{str(k): RootLaw.knary(k) for k in (2, 3, 5, 9, 21)}, "uniform": RootLaw.uniform()}
 _INV_SIGMA_SQ_GRID = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
@@ -254,19 +254,15 @@ def run_experiment_sparsity(config: ExperimentConfig) -> ExperimentResult:
     return _sweep("sparsity", config, "pc", labels, fits)
 
 
-def _fit_label(law: RootLaw) -> str:
-    return str(law.k) if law.family.value == "knary" else law.family.value
-
-
 def run_experiment_discretization(config: ExperimentConfig) -> ExperimentResult:
     """K-level fits against the continuous fit on shared uniform data."""
 
     def fits(seed):
         truth, matrix = _dataset(config, seed, config.edge_prob)
-        for law in _FIT_LAWS:
+        for law in _FIT_LAWS.values():
             yield partial(_error, law, config.prior, matrix, config.solver, truth.values)
 
-    labels = [_fit_label(law) for law in _FIT_LAWS]
+    labels = list(_FIT_LAWS)
     return _sweep("discretization", config, "fit", labels, fits)
 
 

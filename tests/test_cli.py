@@ -213,6 +213,18 @@ class TestCheck:
         assert rc == 2
         assert "--instances must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # beta=1e6 nodes
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "monotonicity", "--model", "bernoulli", "--instances", "0"],
+        ["--suite", "resilience", "--model", "bernoulli", "--input", "missing.csv"],
+        ["--suite", "moments", "--model", "beta:beta=1e6"],
+    ], ids=["no-instances", "missing-input", "non-finite-moments"])
+    def test_rejected_check_creates_no_out_dir(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o" / "x"
+        assert main(["check", *argv, "--out-dir", str(out)]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_resilience_bounded_passes(self, tmp_path, capsys):
         rc = main(["check", "--suite", "resilience", "--model", "knary:K=21",
                    "--sigma-sq", "1.0", "--probes", "25", "--seed", "2",
@@ -240,6 +252,15 @@ class TestCheck:
                    "--seed", "4", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert capsys.readouterr().out.count("pass") == 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # beta=1e6 nodes
+    def test_non_finite_moments_exit_2(self, tmp_path, capsys):
+        # an evaluation failure of the law, not a violated property (exit 5)
+        rc = main(["check", "--suite", "moments", "--model", "beta:beta=1e6",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "beta:beta=1000000.0" in err and "tilt -2" in err
 
     def test_check_on_dataset(self, tmp_path, capsys):
         inp = write(tmp_path / "d.csv",

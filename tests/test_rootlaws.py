@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gbtscore
 from conftest import ALL_SPECS, bounded_series_mgf, oracle_moments, pochhammer
 from gbtscore import Family, ParameterError, RootLaw, parse_model_spec
-from gbtscore.rootlaws import _beta_rule_size, _jacobi_rule
+from gbtscore.rootlaws import _beta_moments, _beta_rule_size, _jacobi_rule
 
 GRID = np.linspace(-8.0, 8.0, 161)
 
@@ -40,13 +40,30 @@ class TestParameters:
         with pytest.raises(ParameterError):
             bad()
 
-    def test_descriptors(self):
-        assert RootLaw.uniform().r_max == 1.0
-        assert RootLaw.beta_law(0.5).r_max == 1.0
-        assert RootLaw.poisson(1.0).r_max == math.inf
-        assert RootLaw.gaussian(2.0).r_max == math.inf
-        assert RootLaw.knary(7).support_kind == "discrete"
-        assert RootLaw.beta_two().support_kind == "continuous"
+    # spec, r_max, support kind, support points, contains on CONTAINS_PROBES
+    DESCRIPTORS = [
+        ("bernoulli", 1.0, "discrete", [-1.0, 1.0], [1, 1, 1, 0, 0, 0, 0]),
+        ("knary:K=5", 1.0, "discrete", [-1.0, -0.5, 0.0, 0.5, 1.0], [1, 1, 1, 0, 0, 0, 0]),
+        ("poisson:lambda=1.0", math.inf, "discrete", None, [1, 0, 1, 1, 0, 0, 0]),
+        ("gaussian:sigma0sq=2.0", math.inf, "continuous", None, [1, 1, 1, 1, 1, 0, 0]),
+        ("uniform", 1.0, "continuous", None, [1, 1, 1, 0, 0, 0, 0]),
+        ("beta:beta=0.5", 1.0, "continuous", None, [1, 1, 1, 0, 0, 0, 0]),
+        ("beta2", 1.0, "continuous", None, [1, 1, 1, 0, 0, 0, 0]),
+    ]
+    CONTAINS_PROBES = [-1.0, 0.5, 1.0, 2.0, 2.5, math.nan, math.inf]
+
+    @pytest.mark.parametrize("spec,r_max,kind,points,inside", DESCRIPTORS,
+                             ids=[row[0] for row in DESCRIPTORS])
+    def test_descriptors(self, spec, r_max, kind, points, inside):
+        law = parse_model_spec(spec)
+        assert law.r_max == r_max
+        assert law.is_bounded == math.isfinite(r_max)
+        assert law.support_kind == kind
+        pts = law.support_points()
+        assert pts is None if points is None else np.array_equal(pts, points)
+        probes = self.CONTAINS_PROBES
+        assert np.array_equal(law.contains(np.array(probes)), np.array(inside, dtype=bool))
+        assert [law.contains(r) for r in probes] == [bool(x) for x in inside]
 
 
 class TestParsing:
@@ -320,7 +337,7 @@ class TestTiltedMoments:
         mean = sums[1] / sums[0]
         expected = (np.log(sums[0]) + a - math.log(wsum), mean, sums[2] / sums[0] - mean * mean,
                     np.log(w @ table) + a - math.log(wsum))
-        got = (*law._beta_moments(a), law._beta_moments(a, full=False))
+        got = (*_beta_moments(a, law), _beta_moments(a, law, full=False))
         for g, e in zip(got, expected):
             if size <= 4096:
                 # one block: the very same products as the unblocked table
@@ -332,8 +349,30 @@ class TestTiltedMoments:
     def test_beta_phi_matches_full_pass(self):
         law = RootLaw.beta_law(0.7)
         theta = np.linspace(-40.0, 40.0, 81)
-        full = law._beta_moments(np.abs(theta))[0]
+        full = _beta_moments(np.abs(theta), law)[0]
         assert np.allclose(law.cumulant(theta), full, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "knary:K=2", "knary:K=5", "knary:K=21",
+                                      "poisson:lambda=1.0", "gaussian:sigma0sq=1.0",
+                                      "uniform", "beta2"])
+    def test_batch_independence(self, spec):
+        # each tilt takes its branch (series cut-offs at 0.2 and 0.5, knary's at
+        # (K - 1) times those, beta2's at 1 and 500) from its own value alone,
+        # so its values do not depend on the tilts that share the call
+        law = parse_model_spec(spec)
+        km1 = law.k - 1 if law.k else 1
+        edges = np.array([0.2, 0.5, 1.0, 500.0, 0.2 * km1, 0.5 * km1])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        tilts = np.concatenate([[0.0], near, np.geomspace(1e-8, 3e3, 31 - near.size)])
+        tilts = np.concatenate([tilts, -tilts])
+        others = np.array([1e-3, -1e-3, 30.0, -30.0, 1e4, -1e4])
+        with np.errstate(all="ignore"):  # poisson overflows at 1e4
+            for t in tilts:
+                alone = (law.cumulant(np.array([t])), *law.tilted_moments(np.array([t])))
+                batch = (law.cumulant(np.append(t, others)),
+                         *law.tilted_moments(np.append(t, others)))
+                for a, b in zip(alone, batch):
+                    assert a.tobytes() == b[:1].tobytes(), (t, a, b[:1])
 
 
 class TestSupportPoints:

@@ -13,7 +13,7 @@ from gbtscore import (AlternativeSet, ComparisonMatrix, MismatchError,
                       SolverOptions, connected_components, gradient, hessian,
                       loss, map_estimate, map_estimate_gaussian,
                       parse_model_spec)
-from gbtscore import solver
+from gbtscore import rootlaws, solver
 from gbtscore.sim import (erdos_renyi_graph, sample_ground_truth,
                           synthesize_comparisons)
 
@@ -159,13 +159,13 @@ def test_dense_assembler_matches_sparse_hessian(data):
 class TestMapEstimate:
     def test_beta_solve_runs_one_full_quadrature_per_iterate(self, monkeypatch):
         passes = []
-        quadrature = RootLaw._beta_moments
+        quadrature = rootlaws._beta_moments
 
-        def counted(self, a, full=True):
+        def counted(a, law, full=True):
             passes.append(full)
-            return quadrature(self, a, full)
+            return quadrature(a, law, full)
 
-        monkeypatch.setattr(RootLaw, "_beta_moments", counted)
+        monkeypatch.setattr(rootlaws, "_beta_moments", counted)
         law = RootLaw.beta_law(2.5)
         m = random_instance(law, 40, 0.3, 17, truth_scale=2.0)
         _, report = map_estimate(law, PriorConfig(1.0), m, TIGHT)
