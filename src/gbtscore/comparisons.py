@@ -194,15 +194,13 @@ class ComparisonMatrix:
         self.index_arrays = (i, j, r)
         self._keys = keys
 
-    def _key(self, a: str, b: str) -> tuple[int, bool]:
-        """Pair key of (a, b) and whether a comes first in canonical orientation."""
+    def _locate(self, a: str, b: str) -> tuple[int, bool, bool]:
+        """Sorted position of pair (a, b), whether it is stored there, and
+        whether a comes first in canonical orientation."""
         ia, ib = self.alternatives.index_of(a), self.alternatives.index_of(b)
-        return min(ia, ib) * len(self.alternatives) + max(ia, ib), ia < ib
-
-    def _find(self, key: int) -> tuple[int, bool]:
-        """Position of key in the sorted keys, and whether it is stored there."""
+        key = min(ia, ib) * len(self.alternatives) + max(ia, ib)
         pos = int(np.searchsorted(self._keys, key))
-        return pos, pos < self._keys.size and int(self._keys[pos]) == key
+        return pos, pos < self._keys.size and int(self._keys[pos]) == key, ia < ib
 
     # ------------------------------------------------------------------ queries
 
@@ -211,15 +209,13 @@ class ComparisonMatrix:
         return int(self._keys.size)
 
     def has_pair(self, a: str, b: str) -> bool:
-        key, _ = self._key(a, b)
-        return a != b and self._find(key)[1]
+        return a != b and self._locate(a, b)[1]
 
     def value(self, a: str, b: str) -> float:
         """Comparison value oriented from a to b; negates the stored one if needed."""
-        key, forward = self._key(a, b)
+        pos, found, forward = self._locate(a, b)
         if a == b:
             raise MismatchError(f"no self comparison for {a!r}")
-        pos, found = self._find(key)
         if not found:
             raise MismatchError(f"pair ({a!r}, {b!r}) not compared")
         stored = float(self.index_arrays[2][pos])
@@ -264,34 +260,42 @@ class ComparisonMatrix:
         matrix's arrays at the pair's sorted position.
         """
         a, b = edit.pair
-        key, forward = self._key(a, b)
+        pos, present, forward = self._locate(a, b)
         if a == b:
             raise InputError(f"self comparison for {a!r}")
         value = 0.0 if edit.new_value is None else float(edit.new_value)
         if not np.isfinite(value):
             raise InputError(f"non-finite comparison value for pair ({a!r}, {b!r})")
         v = value if forward else -value
-        pos, present = self._find(key)
-        i, j, r = self.index_arrays
         if edit.kind == EditKind.ADD:
             if present:
                 raise EditError(f"pair ({a!r}, {b!r}) already compared")
-        elif not present:
+            return self._splice(pos, v, tuple(sorted(map(self.alternatives.index_of, (a, b)))))
+        if not present:
             raise EditError(f"pair ({a!r}, {b!r}) not compared")
-        elif edit.kind == EditKind.CHANGE and r[pos] == v:
-            raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
-        if edit.kind != EditKind.REMOVE and self.law is not None and not self.law.contains(value):
-            raise SupportError(f"value {value!r} for pair ({a!r}, {b!r}) outside the "
-                               f"support of model {self.law.spec_string!r}")
+        return self._splice(pos, None if edit.kind == EditKind.REMOVE else v)
 
-        if edit.kind == EditKind.REMOVE:
-            i, j, r = np.delete(i, pos), np.delete(j, pos), np.delete(r, pos)
-        elif edit.kind == EditKind.ADD:
-            lo, hi = divmod(key, len(self.alternatives))
-            i, j, r = np.insert(i, pos, lo), np.insert(j, pos, hi), np.insert(r, pos, v)
-        else:
+    def _splice(self, pos: int, value: float | None = None,
+                pair: tuple[int, int] | None = None) -> "ComparisonMatrix":
+        """A new matrix with sorted position ``pos`` removed (no value), its value
+        replaced (no pair), or ``pair = (i, j)``, i < j, inserted there; the caller
+        keeps the keys sorted. ``value`` is oriented from i to j: an unchanged one
+        raises EditError, one outside the attached law's support SupportError."""
+        i, j, r = self.index_arrays
+        if value is not None:
+            a, b = (self.alternatives.ids[k] for k in (pair or (i[pos], j[pos])))
+            if pair is None and r[pos] == value:
+                raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
+            if self.law is not None and not self.law.contains(value):
+                raise SupportError(f"value {value!r} for pair ({a!r}, {b!r}) outside the "
+                                   f"support of model {self.law.spec_string!r}")
+        if value is None:
+            i, j, r = (np.delete(x, pos) for x in (i, j, r))
+        elif pair is None:
             r = r.copy()
-            r[pos] = v
+            r[pos] = value
+        else:
+            i, j, r = (np.insert(x, pos, y) for x, y in zip((i, j, r), (*pair, value)))
         out = ComparisonMatrix.__new__(ComparisonMatrix)
         out.alternatives = self.alternatives
         out.law = self.law

@@ -25,6 +25,12 @@ Strictness below numerical resolution cannot be decided, so monotone checks
 are certified only when the observed margin exceeds ten times the combined
 certified solver error of the two solves; smaller margins are reported as
 inconclusive rather than failed.
+
+The drivers name an entry by its sorted position in the matrix's
+``index_arrays`` and read scores by alternative index; ids appear only in
+what they report. Under the unregularized prior the scores need a connected
+comparison graph, so resilience probes skip an edit that disconnects it, as
+they skip edits that cancel out, and random bases are drawn until connected.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparisons import ComparisonEdit, ComparisonMatrix, EditKind, _write_csv
+from .comparisons import ComparisonMatrix, _write_csv
 from .errors import EditError, ParameterError
 from .rootlaws import RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
-from .solver import PriorConfig, ScoreVector, SolverOptions, map_estimate
+from .solver import (PriorConfig, ScoreVector, SolverOptions, connected_components,
+                     map_estimate)
 
 __all__ = [
     "MonotoneStepResult",
@@ -97,19 +104,21 @@ def _next_step(law: RootLaw, value: float, step: float) -> float | None:
     return None if room < 1e-6 else min(step, 0.5 * room)
 
 
-def _monotone_step(law, prior, matrix, base, pair, value, delta, options):
-    """Re-solve with r_ab raised from value by delta, warm from the base solve."""
-    a, b = pair
+def _monotone_step(law, prior, matrix, base, pos, forward, delta, options):
+    """Re-solve with r_ij (r_ji unless forward) at sorted position pos raised by delta."""
+    i, j, r = matrix.index_arrays
+    a, b, sign = (i[pos], j[pos], 1.0) if forward else (j[pos], i[pos], -1.0)
     base_vec, base_rep = base
-    bumped = matrix.apply_edit(ComparisonEdit(EditKind.CHANGE, (a, b), value + delta))
+    bumped = matrix._splice(pos, sign * (sign * float(r[pos]) + delta))
     new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base_vec)
     err = base_rep.certified_error + new_rep.certified_error
     if not math.isfinite(err):
         err = 0.0  # unregularized solves carry no certified bound
-    margin = new_vec.value_of(a) - base_vec.value_of(a)
-    margin_other = new_vec.value_of(b) - base_vec.value_of(b)
+    margin = float(new_vec.values[a] - base_vec.values[a])
+    margin_other = float(new_vec.values[b] - base_vec.values[b])
+    ids = matrix.alternatives.ids
     return MonotoneStepResult(
-        pair=(a, b), delta=delta, margin=margin, margin_other=margin_other,
+        pair=(ids[a], ids[b]), delta=delta, margin=margin, margin_other=margin_other,
         certified_error=err,
         strictly_increased=margin > 10.0 * err,
         conclusive=abs(margin) > 10.0 * err)
@@ -136,8 +145,9 @@ def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatr
                 f"{value + step!r}, got {value + delta!r}")
     elif not law.contains(value + delta):
         raise EditError(f"step leaves the support: {value!r} + {delta!r} > {law.r_max}")
+    pos, _, forward = matrix._locate(*pair)
     base = map_estimate(law, prior, matrix, options)
-    return _monotone_step(law, prior, matrix, base, pair, value, delta, options)
+    return _monotone_step(law, prior, matrix, base, pos, forward, delta, options)
 
 
 def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
@@ -151,11 +161,10 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
     """
     base = map_estimate(law, prior, matrix, options)
     results = []
-    for a, b, value in matrix.iter_entries():
+    for pos, value in enumerate(matrix.index_arrays[2].tolist()):
         delta = _next_step(law, value, 0.25)
         if delta is not None:
-            results.append(_monotone_step(law, prior, matrix, base, (a, b), value,
-                                          delta, options))
+            results.append(_monotone_step(law, prior, matrix, base, pos, True, delta, options))
     return results
 
 
@@ -208,43 +217,56 @@ def _random_value(law: RootLaw, rng) -> float:
     return float(law.sample_comparison(0.0, rng))
 
 
-def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng) -> ComparisonEdit:
-    # present pairs in sorted key order, absent ones in row-major i < j order
+def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng):
+    """A random change, add or remove: its kind, its pair as ``"a|b"`` and the
+    edited matrix. The k-th absent pair in row-major ``i < j`` order follows the
+    present pairs with at most k absent pairs ranked below them, so no A x A
+    table is needed."""
     ids = matrix.alternatives.ids
-    present_i, present_j, _ = matrix.index_arrays
-    upper_i, upper_j = np.triu_indices(len(ids), 1)
-    compared = np.zeros((len(ids), len(ids)), dtype=bool)
-    compared[present_i, present_j] = True
-    absent = np.flatnonzero(~compared[upper_i, upper_j])
-    kinds = [EditKind.CHANGE]
-    if absent.size:
-        kinds.append(EditKind.ADD)
-    if present_i.size > 1:
-        kinds.append(EditKind.REMOVE)
+    n = len(ids)
+    i, j, r = matrix.index_arrays
+    n_absent = n * (n - 1) // 2 - i.size
+    kinds = ["change"]
+    if n_absent:
+        kinds.append("add")
+    if i.size > 1:
+        kinds.append("remove")
     kind = kinds[rng.integers(len(kinds))]
-    if kind == EditKind.ADD:
-        k = absent[rng.integers(absent.size)]
-        pair = (ids[upper_i[k]], ids[upper_j[k]])
-        return ComparisonEdit(EditKind.ADD, pair, _random_value(law, rng))
-    k = rng.integers(present_i.size)
-    pair = (ids[present_i[k]], ids[present_j[k]])
-    if kind == EditKind.REMOVE:
-        return ComparisonEdit(EditKind.REMOVE, pair)
-    old = matrix.value(*pair)
+    if kind == "add":
+        k = int(rng.integers(n_absent))
+        row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # rank of (i, i + 1)
+        ranks = row_start[i] + j - i - 1
+        rank = k + int(np.searchsorted(ranks - np.arange(i.size), k, side="right"))
+        a = int(np.searchsorted(row_start, rank, side="right")) - 1
+        b = a + 1 + rank - int(row_start[a])
+        return kind, f"{ids[a]}|{ids[b]}", matrix._splice(rank - k, _random_value(law, rng),
+                                                          (a, b))
+    pos = int(rng.integers(i.size))
+    pair = f"{ids[i[pos]]}|{ids[j[pos]]}"
+    if kind == "remove":
+        return kind, pair, matrix._splice(pos)
     while True:
         value = _random_value(law, rng)
-        if value != old:
-            return ComparisonEdit(EditKind.CHANGE, pair, value)
+        if value != r[pos]:
+            return kind, pair, matrix._splice(pos, value)
 
 
-def _random_base(law: RootLaw, rng) -> ComparisonMatrix:
+def _solvable(prior: PriorConfig, matrix: ComparisonMatrix) -> bool:
+    """Whether the prior admits the matrix: the unregularized one needs a
+    connected comparison graph."""
+    return prior.is_regularized or len(connected_components(matrix)) == 1
+
+
+def _random_base(law: RootLaw, prior: PriorConfig, rng) -> ComparisonMatrix:
     n = 10
     while True:
         pairs = erdos_renyi_graph(n, 0.6, rng)
-        if pairs[0].size:
-            break
-    truth = ScoreVector(default_alternatives(n), rng.normal(size=n))
-    return synthesize_comparisons(law, truth, pairs, rng)
+        if not pairs[0].size:
+            continue
+        truth = ScoreVector(default_alternatives(n), rng.normal(size=n))
+        base = synthesize_comparisons(law, truth, pairs, rng)
+        if _solvable(prior, base):
+            return base
 
 
 def measure_resilience(law: RootLaw, prior: PriorConfig,
@@ -262,7 +284,7 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     bound = resilience_bound(law, prior)
     fixed_base = base is not None
     if base is None:
-        base = _random_base(law, rng)
+        base = _random_base(law, prior, rng)
     probe = ResilienceProbe(bound=bound)
 
     if config.scaling_factors:
@@ -285,24 +307,23 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     base_vec, _ = map_estimate(law, prior, base, options)
     while done < config.n_probes:
         edited = base
-        edits: list[ComparisonEdit] = []
+        kinds, pairs = [], []
         for _ in range(config.edits_per_probe):
-            e = _random_edit(law, edited, rng)
-            edits.append(e)
-            edited = edited.apply_edit(e)
+            kind, pair, edited = _random_edit(law, edited, rng)
+            kinds.append(kind)
+            pairs.append(pair)
         dist = base.edit_distance(edited)
-        if dist == 0:
+        if dist == 0 or not _solvable(prior, edited):
             continue
         edited_vec, _ = map_estimate(law, prior, edited, options, initial=base_vec)
         change = float(np.linalg.norm(edited_vec.values - base_vec.values))
         ratio = change / dist
-        kind = "+".join(e.kind.value for e in edits)
-        pair = ";".join(f"{p[0]}|{p[1]}" for p in (e.pair for e in edits))
-        probe.records.append(ProbeRecord(kind, pair, dist, change, ratio, bound))
+        probe.records.append(ProbeRecord("+".join(kinds), ";".join(pairs), dist, change,
+                                         ratio, bound))
         probe.observed_ratio = max(probe.observed_ratio, ratio)
         done += 1
         if not fixed_base and done % per_base == 0 and done < config.n_probes:
-            base = _random_base(law, rng)
+            base = _random_base(law, prior, rng)
             base_vec, _ = map_estimate(law, prior, base, options)
     return probe
 

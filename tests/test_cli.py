@@ -247,6 +247,21 @@ class TestCheck:
         assert rc == 0
         assert "50 probes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, probes", [
+        (["--seed", "14"], 200),  # a random REMOVE cuts a bridge of a random base
+        (["--seed", "327"], 200),  # the first random base is disconnected
+        (["--input", "path.csv", "--probes", "20"], 20),  # every REMOVE cuts the path
+    ])
+    def test_unregularized_resilience_skips_disconnected_graphs(self, tmp_path, monkeypatch,
+                                                                 extra, probes):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "path.csv", "a,b,r\nv,w,0.5\nw,x,-0.5\nx,y,0.0\ny,z,0.5\n")
+        rc = main(["check", "--suite", "resilience", "--model", "uniform", "--sigma-sq", "inf",
+                   *extra, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "resilience_probes.csv").read_text().splitlines()
+        assert len(lines) == probes + 1
+
     def test_moments_pass(self, tmp_path, capsys):
         rc = main(["check", "--suite", "moments", "--model", "beta:beta=2.5",
                    "--seed", "4", "--out-dir", str(tmp_path)])

@@ -1,19 +1,20 @@
 """Diagnostics: monotone steps, resilience probes, neutral comparisons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ALL_SPECS, BOUNDED_SPECS
-from gbtscore import (AlternativeSet, ComparisonMatrix, EditError, PriorConfig,
-                      ResilienceProbeConfig, RootLaw, SolverOptions,
-                      check_monotone_step, hessian,
-                      map_estimate, measure_resilience, monotonicity_sweep,
-                      neutral_comparison, parse_model_spec, resilience_bound,
-                      write_probe_csv)
+from gbtscore import (AlternativeSet, ComparisonEdit, ComparisonMatrix, EditError,
+                      EditKind, MonotoneStepResult, PriorConfig, ResilienceProbeConfig,
+                      RootLaw, SolverOptions, SupportError, check_monotone_step,
+                      hessian, map_estimate, measure_resilience,
+                      monotonicity_sweep, neutral_comparison, parse_model_spec,
+                      resilience_bound, write_probe_csv)
 from gbtscore import diagnostics
-from gbtscore.sim import (erdos_renyi_graph, sample_ground_truth,
+from gbtscore.sim import (default_alternatives, erdos_renyi_graph, sample_ground_truth,
                           synthesize_comparisons)
 
 TIGHT = SolverOptions(tolerance=1e-11)
@@ -131,6 +132,29 @@ class TestMonotoneStep:
         with pytest.raises(EditError):
             check_monotone_step(law, PriorConfig(1.0), m, ("a", "b"), 2.0)
 
+    def test_reversed_pairs_match_a_public_re_solve(self):
+        # every entry raised in both orientations, against the edit through
+        # the public API, warm from the same base solve
+        law, prior = RootLaw.uniform(), PriorConfig(1.0)
+        m = instance(law, 6, 0.6, 33)
+        base_vec, base_rep = map_estimate(law, prior, m, TIGHT)
+        checked = 0
+        for a, b, stored in m.iter_entries():
+            for pair, value in (((a, b), stored), ((b, a), -stored)):
+                delta = diagnostics._next_step(law, value, 0.25)
+                if delta is None:
+                    continue
+                bumped = m.apply_edit(ComparisonEdit(EditKind.CHANGE, pair, value + delta))
+                new_vec, new_rep = map_estimate(law, prior, bumped, TIGHT, initial=base_vec)
+                err = base_rep.certified_error + new_rep.certified_error
+                margin = new_vec.value_of(pair[0]) - base_vec.value_of(pair[0])
+                margin_other = new_vec.value_of(pair[1]) - base_vec.value_of(pair[1])
+                expected = MonotoneStepResult(pair, delta, margin, margin_other, err,
+                                              margin > 10.0 * err, abs(margin) > 10.0 * err)
+                assert check_monotone_step(law, prior, m, pair, delta, TIGHT) == expected
+                checked += 1
+        assert checked > 2 * m.num_pairs - 2
+
     def test_sweep_warm_starts_save_newton_iterations(self, monkeypatch):
         law = RootLaw.knary(5)
         m = instance(law, 30, 0.2, 29)
@@ -206,6 +230,85 @@ class TestResilience:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "edit_kind,pair,delta_distance,l2_change,ratio,bound"
         assert len(lines) == 6
+
+
+def table_random_edit(law, matrix, rng):
+    """The A x A table enumeration of edits that ``_random_edit`` replaced:
+    present pairs in sorted key order, absent ones in row-major i < j order."""
+    ids = matrix.alternatives.ids
+    present_i, present_j, _ = matrix.index_arrays
+    upper_i, upper_j = np.triu_indices(len(ids), 1)
+    compared = np.zeros((len(ids), len(ids)), dtype=bool)
+    compared[present_i, present_j] = True
+    absent = np.flatnonzero(~compared[upper_i, upper_j])
+    kinds = [EditKind.CHANGE]
+    if absent.size:
+        kinds.append(EditKind.ADD)
+    if present_i.size > 1:
+        kinds.append(EditKind.REMOVE)
+    kind = kinds[rng.integers(len(kinds))]
+    if kind == EditKind.ADD:
+        k = absent[rng.integers(absent.size)]
+        pair = (ids[upper_i[k]], ids[upper_j[k]])
+        return ComparisonEdit(EditKind.ADD, pair, diagnostics._random_value(law, rng))
+    k = rng.integers(present_i.size)
+    pair = (ids[present_i[k]], ids[present_j[k]])
+    if kind == EditKind.REMOVE:
+        return ComparisonEdit(EditKind.REMOVE, pair)
+    old = matrix.value(*pair)
+    while True:
+        value = diagnostics._random_value(law, rng)
+        if value != old:
+            return ComparisonEdit(EditKind.CHANGE, pair, value)
+
+
+class TestRandomEdits:
+    @pytest.mark.parametrize("spec", ["uniform", "knary:K=3"])
+    @pytest.mark.parametrize("n, edge_prob", [(2, 1.0), (6, 1.0), (12, 0.15), (30, 0.05)])
+    def test_matches_the_table_enumeration(self, spec, n, edge_prob):
+        law = parse_model_spec(spec)
+        for seed in range(25):
+            matrix = instance(law, n, edge_prob, seed)
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                edit = table_random_edit(law, matrix, theirs)
+                kind, pair, edited = diagnostics._random_edit(law, matrix, mine)
+                assert (kind, pair) == (edit.kind.value, "|".join(edit.pair))
+                matrix = matrix.apply_edit(edit)
+                assert edited == matrix
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_edit_allocates_no_alternatives_squared_table(self):
+        # an A x A boolean table alone would take 16 MB here
+        rng = np.random.default_rng(5)
+        n = 4000
+        lo, hi = np.sort(rng.integers(0, n, size=(2, 41_000)), axis=0)
+        keys = np.unique((lo * n + hi)[lo < hi])
+        law = RootLaw.uniform()
+        m = ComparisonMatrix(default_alternatives(n), law=law,
+                             indices=(keys // n, keys % n, rng.uniform(-1.0, 1.0, keys.size)))
+        assert m.num_pairs > 39_000
+        kinds = set()
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                tracemalloc.reset_peak()
+                kind, _, _ = diagnostics._random_edit(law, m, rng)
+                assert tracemalloc.get_traced_memory()[1] < 8_000_000, kind
+                kinds.add(kind)
+        finally:
+            tracemalloc.stop()
+        assert kinds == {"add", "remove", "change"}
+
+    def test_every_edit_keeps_its_support_check(self):
+        # Poisson data admits only integers; Gaussian edits are not
+        base = instance(RootLaw.poisson(1.0), 8, 0.6, 3)
+        gaussian = RootLaw.gaussian(1.0)
+        with pytest.raises(SupportError):
+            monotonicity_sweep(gaussian, PriorConfig(1.0), base)
+        with pytest.raises(SupportError):
+            measure_resilience(gaussian, PriorConfig(1.0),
+                               ResilienceProbeConfig(n_probes=20, seed=0), base=base)
 
 
 class TestNeutralComparison:
