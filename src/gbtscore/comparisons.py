@@ -281,14 +281,9 @@ class ComparisonMatrix:
         replaced (no pair), or ``pair = (i, j)``, i < j, inserted there; the caller
         keeps the keys sorted. ``value`` is oriented from i to j: an unchanged one
         raises EditError, one outside the attached law's support SupportError."""
-        i, j, r = self.index_arrays
         if value is not None:
-            a, b = (self.alternatives.ids[k] for k in (pair or (i[pos], j[pos])))
-            if pair is None and r[pos] == value:
-                raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
-            if self.law is not None and not self.law.contains(value):
-                raise SupportError(f"value {value!r} for pair ({a!r}, {b!r}) outside the "
-                                   f"support of model {self.law.spec_string!r}")
+            self._check_value(pos, value, pair)
+        i, j, r = self.index_arrays
         if value is None:
             i, j, r = (np.delete(x, pos) for x in (i, j, r))
         elif pair is None:
@@ -301,6 +296,19 @@ class ComparisonMatrix:
         out.law = self.law
         out._set(i, j, r)
         return out
+
+    def _check_value(self, pos: int, value: float,
+                     pair: tuple[int, int] | None = None) -> None:
+        """The checks of a spliced ``value`` at sorted position ``pos`` (inserted
+        as ``pair`` when given): EditError if it leaves the stored value
+        unchanged, SupportError if it lies outside the attached law's support."""
+        i, j, r = self.index_arrays
+        a, b = (self.alternatives.ids[k] for k in (pair or (i[pos], j[pos])))
+        if pair is None and r[pos] == value:
+            raise EditError(f"change edit must alter the value of ({a!r}, {b!r})")
+        if self.law is not None and not self.law.contains(value):
+            raise SupportError(f"value {value!r} for pair ({a!r}, {b!r}) outside the "
+                               f"support of model {self.law.spec_string!r}")
 
     def edit_distance(self, other: "ComparisonMatrix") -> int:
         """Number of elementary modifications separating the two matrices:

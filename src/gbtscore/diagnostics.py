@@ -12,14 +12,24 @@ Three facts about the score estimator are checked empirically here:
   ``Phi'(theta_a - theta_b)`` leaves the scores unchanged, larger values
   raise the winner, smaller ones lower it.
 
-Every edited re-solve starts Newton from the base solution. For bounded
-models the influence bound puts the edited optimum within
-``4 sqrt(2) r_max sigma^2`` per edit of that start, and the first warm
-Newton step is the one-step (influence-function) prediction of the edit's
-effect, so a re-solve takes fewer steps than one from zero. The certificate
-is unchanged: each solve stops on, and reports, ``2 sigma^2 ||grad||`` at its
-own returned point, wherever it started. The scaling probes stay cold, since
-``lam * R`` has no bounded distance from the base.
+The Hessian depends on the scores only, not on the comparisons, so at the
+base solution every single-entry edit has the base Hessian. The
+monotonicity sweep therefore factors that Hessian once and runs chord
+(simplified) Newton on the edited problems in blocks, each block one
+stacked problem: one moments pass and one multi-right-hand-side solve per
+iteration. For the Gaussian model the Hessian is constant and the first
+chord step is the explicit ``M^{-1} rbar`` answer. A row whose gradient norm
+turns non-finite, fails to halve in one step, or outlasts
+``max_iterations`` is re-solved by Newton instead. Under the unregularized
+prior and above the dense-solver limit every entry is re-solved.
+
+Every edited re-solve, and the resilience probes, start Newton from the base
+solution: the influence bound puts a bounded model's edited optimum within
+``4 sqrt(2) r_max sigma^2`` per edit of that start. The certificate is the
+same on every path: each edited problem stops on, and reports,
+``2 sigma^2 ||grad||`` at its own returned point, with the gradient taken on
+the edited data, wherever it started and however it stepped. The scaling
+probes stay cold, since ``lam * R`` has no bounded distance from the base.
 
 Strictness below numerical resolution cannot be decided, so monotone checks
 are certified only when the observed margin exceeds ten times the combined
@@ -44,8 +54,8 @@ from .comparisons import ComparisonMatrix, _write_csv
 from .errors import EditError, ParameterError
 from .rootlaws import RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
-from .solver import (PriorConfig, ScoreVector, SolverOptions, connected_components,
-                     map_estimate)
+from .solver import (_DENSE_LIMIT, PriorConfig, ScoreVector, SolverOptions, _gradient,
+                     _newton_solver, connected_components, map_estimate)
 
 __all__ = [
     "MonotoneStepResult",
@@ -61,6 +71,9 @@ __all__ = [
 ]
 
 RESILIENCE_COEFFICIENT = 4.0 * math.sqrt(2.0)
+# edge values per block of the batched monotonicity sweep: bigger blocks
+# raise peak memory and gain little
+_SWEEP_BLOCK = 8192
 
 
 def resilience_bound(law: RootLaw, prior: PriorConfig) -> float:
@@ -104,24 +117,30 @@ def _next_step(law: RootLaw, value: float, step: float) -> float | None:
     return None if room < 1e-6 else min(step, 0.5 * room)
 
 
-def _monotone_step(law, prior, matrix, base, pos, forward, delta, options):
-    """Re-solve with r_ij (r_ji unless forward) at sorted position pos raised by delta."""
-    i, j, r = matrix.index_arrays
-    a, b, sign = (i[pos], j[pos], 1.0) if forward else (j[pos], i[pos], -1.0)
+def _step_result(matrix, base, a, b, delta, values, error):
+    """The result of raising the comparison of a over b by delta, from the
+    edited solve's scores and certified error."""
     base_vec, base_rep = base
-    bumped = matrix._splice(pos, sign * (sign * float(r[pos]) + delta))
-    new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base_vec)
-    err = base_rep.certified_error + new_rep.certified_error
+    err = base_rep.certified_error + error
     if not math.isfinite(err):
         err = 0.0  # unregularized solves carry no certified bound
-    margin = float(new_vec.values[a] - base_vec.values[a])
-    margin_other = float(new_vec.values[b] - base_vec.values[b])
+    margin = float(values[a] - base_vec.values[a])
+    margin_other = float(values[b] - base_vec.values[b])
     ids = matrix.alternatives.ids
     return MonotoneStepResult(
         pair=(ids[a], ids[b]), delta=delta, margin=margin, margin_other=margin_other,
         certified_error=err,
         strictly_increased=margin > 10.0 * err,
         conclusive=abs(margin) > 10.0 * err)
+
+
+def _monotone_step(law, prior, matrix, base, pos, forward, delta, options):
+    """Re-solve with r_ij (r_ji unless forward) at sorted position pos raised by delta."""
+    i, j, r = matrix.index_arrays
+    a, b, sign = (i[pos], j[pos], 1.0) if forward else (j[pos], i[pos], -1.0)
+    bumped = matrix._splice(pos, sign * (sign * float(r[pos]) + delta))
+    new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base[0])
+    return _step_result(matrix, base, a, b, delta, new_vec.values, new_rep.certified_error)
 
 
 def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
@@ -157,15 +176,72 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
     The base problem is solved once and shared. Entries already at the top
     of a bounded grid, or within 1e-6 of a bounded supremum, admit no
     increase and are skipped. Poisson values step by one, continuous ones by
-    0.25 (at most halfway to the supremum).
+    0.25 (at most halfway to the supremum). Under a finite prior on the
+    dense path the raised problems run chord Newton on the base Hessian's
+    one factor, in blocks of about ``_SWEEP_BLOCK`` edge values.
     """
+    options = options or SolverOptions()
     base = map_estimate(law, prior, matrix, options)
-    results = []
-    for pos, value in enumerate(matrix.index_arrays[2].tolist()):
+    i, j, r = matrix.index_arrays
+    steps = []
+    for pos, value in enumerate(r.tolist()):
         delta = _next_step(law, value, 0.25)
         if delta is not None:
-            results.append(_monotone_step(law, prior, matrix, base, pos, True, delta, options))
-    return results
+            matrix._check_value(pos, value + delta)
+            steps.append((pos, delta))
+    if not prior.is_regularized or len(matrix.alternatives) > _DENSE_LIMIT:
+        return [_monotone_step(law, prior, matrix, base, pos, True, delta, options)
+                for pos, delta in steps]
+    t0 = base[0].values
+    solve = _newton_solver(prior, matrix, law.tilted_moments(t0[i] - t0[j])[1])
+    block = max(1, _SWEEP_BLOCK // r.size)
+    return [res for lo in range(0, len(steps), block)
+            for res in _chord_block(law, prior, matrix, base, solve, steps[lo:lo + block],
+                                    options)]
+
+
+def _chord_block(law, prior, matrix, base, solve, steps, options):
+    """The results of ``steps``, (sorted position, increase) pairs, by chord Newton.
+
+    Each row of the block is the base problem with one entry raised. Every
+    row starts from the base solution and steps with ``solve``, the base
+    Hessian's one factor, which is each edited Hessian at that start. A row
+    stops on its own certificate ``2 sigma^2 ||grad|| <= tolerance``, the
+    gradient taken on the edited data. A row whose gradient norm turns
+    non-finite, fails to halve in one step or still misses the tolerance
+    after ``max_iterations`` steps is re-solved by Newton instead.
+    """
+    i, j, r = matrix.index_arrays
+    n_alt, n_edge = len(matrix.alternatives), r.size
+    results = [None] * len(steps)
+    rows = np.arange(len(steps))
+    pos, deltas = zip(*steps)
+    raised = np.tile(r, (rows.size, 1))
+    raised[rows, pos] += deltas
+    # the block as one problem over rows * A alternatives, row k's offset by k * A
+    offsets = n_alt * np.arange(rows.size)[:, None]
+    stacked_i, stacked_j = (i + offsets).ravel(), (j + offsets).ravel()
+    t = np.tile(base[0].values, (rows.size, 1))
+    last = np.full(rows.size, math.inf)
+    for iteration in range(options.max_iterations + 1):
+        size = rows.size * n_edge
+        mean = law.cumulant_prime(t[:, i] - t[:, j])
+        g = _gradient(prior, (stacked_i[:size], stacked_j[:size], raised.ravel()),
+                      t.ravel(), mean.ravel()).reshape(rows.size, n_alt)
+        norm = np.linalg.norm(g, axis=1)
+        err = 2.0 * prior.sigma_sq * norm
+        done = err <= options.tolerance
+        going = ~done & np.isfinite(norm) & (norm <= 0.5 * last) \
+            & (iteration < options.max_iterations)
+        for k in np.flatnonzero(~going):
+            p, delta = steps[rows[k]]
+            results[rows[k]] = (
+                _step_result(matrix, base, i[p], j[p], delta, t[k], float(err[k])) if done[k]
+                else _monotone_step(law, prior, matrix, base, p, True, delta, options))
+        if not going.any():
+            return results
+        rows, raised, t, g, last = rows[going], raised[going], t[going], g[going], norm[going]
+        t = t + solve(-g.T).T
 
 
 # ------------------------------------------------------------------ resilience

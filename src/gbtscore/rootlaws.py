@@ -166,8 +166,8 @@ class RootLaw:
 
     def cumulant(self, theta):
         """Phi(theta); Phi(0) = 0 exactly, even, nonnegative, strictly convex."""
-        a, _, scalar = self._split(theta)
-        return _wrap(_FAMILIES[self.family].phi(a, self), scalar)
+        a, _, shape = self._split(theta)
+        return _wrap(_FAMILIES[self.family].phi(a, self), shape)
 
     def tilted_moments(self, theta):
         """(Phi'(theta), Phi''(theta)) from one shared evaluation.
@@ -175,9 +175,9 @@ class RootLaw:
         The tilted-law mean (odd, strictly increasing) and variance (even,
         strictly positive). Scalars give floats, arrays arrays.
         """
-        a, s, scalar = self._split(theta)
+        a, s, shape = self._split(theta)
         mean, var = _FAMILIES[self.family].moments(a, self)
-        return _wrap(s * mean, scalar), _wrap(var, scalar)
+        return _wrap(s * mean, shape), _wrap(var, shape)
 
     def cumulant_prime(self, theta):
         """Phi'(theta): the tilted-law mean; odd, strictly increasing."""
@@ -189,10 +189,11 @@ class RootLaw:
 
     @staticmethod
     def _split(theta):
+        """|theta| and its sign, flattened (the kernels take 1-D tilts), and
+        the shape to give the result back."""
         arr = np.asarray(theta, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        return np.abs(arr), np.sign(arr), scalar and arr.shape == (1,)
+        flat = arr.ravel()
+        return np.abs(flat), np.sign(flat), arr.shape
 
     # ---------------------------------------------------------------- sampling
 
@@ -218,8 +219,8 @@ class RootLaw:
         return sample(arr.ravel(), self, rng).reshape(arr.shape)
 
 
-def _wrap(values, scalar):
-    return float(values[0]) if scalar else values
+def _wrap(values, shape):
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 # ------------------------------------------------------------------ kernels
@@ -282,7 +283,10 @@ _BETA2_COEF = np.array([3.0 * (2 * m + 2) / math.factorial(2 * m + 3) for m in r
 @lru_cache(maxsize=32)
 def _jacobi_rule(beta: float, n: int):
     """Gauss-Jacobi nodes/weights for the weight (1-x^2)^(beta-1) on [-1, 1]."""
-    x, w = roots_jacobi(n, beta - 1.0, beta - 1.0)
+    # a rule that comes back NaN (huge beta) is reported by the callers'
+    # finiteness checks, so numpy's own warnings would only repeat it
+    with np.errstate(invalid="ignore"):
+        x, w = roots_jacobi(n, beta - 1.0, beta - 1.0)
     return x, w, float(w.sum())
 
 

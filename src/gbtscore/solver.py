@@ -160,12 +160,14 @@ def gradient(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix, theta) 
     """Component a: theta_a / sigma^2 + sum_b (Phi'(theta_ab) - r_ab)."""
     t = _theta_array(matrix, theta)
     i, j, _ = matrix.index_arrays
-    return _gradient(prior, matrix, t, law.cumulant_prime(t[i] - t[j]))
+    return _gradient(prior, matrix.index_arrays, t, law.cumulant_prime(t[i] - t[j]))
 
 
-def _gradient(prior, matrix, t, mean):
-    """The gradient from the edge means Phi'(theta_i - theta_j)."""
-    i, j, r = matrix.index_arrays
+def _gradient(prior, index_arrays, t, mean):
+    """The gradient from the edge means Phi'(theta_i - theta_j). K problems
+    over A alternatives stacked as one over K*A (row k's indices offset by
+    k*A) give each row's gradient with the same arithmetic."""
+    i, j, r = index_arrays
     edge = mean - r
     return prior.inv_sigma_sq * t + np.bincount(i, edge, t.size) - np.bincount(j, edge, t.size)
 
@@ -212,10 +214,12 @@ def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
     return sorted((g.tolist() for g in groups), key=lambda g: (-len(g), g[0]))
 
 
-def _solve_newton_system(prior, matrix, weights, g, rtol=1e-10):
-    """The step x with H x = -g, H the Hessian for pair ``weights``; ``rtol``
-    is the CG path's relative residual."""
-    a = g.size
+def _newton_solver(prior, matrix, weights, rtol=1e-10):
+    """``solve(rhs)`` for H x = rhs, H the Hessian for pair ``weights``, built,
+    gauged and factored once. Dense Cholesky (A <= ``_DENSE_LIMIT``) takes a
+    right-hand side of shape (A,) or (A, K); CG takes (A,), to relative
+    residual ``rtol``."""
+    a = len(matrix.alternatives)
     use_dense = a <= _DENSE_LIMIT
     # the likelihood Hessian annihilates constants; without a prior, pin the
     # gauge with a rank-one term (the gradient is orthogonal to constants, so
@@ -227,10 +231,10 @@ def _solve_newton_system(prior, matrix, weights, g, rtol=1e-10):
         if gauge:
             h += h.diagonal().mean() / a
         try:
-            c, low = scipy.linalg.cho_factor(h, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), -g, check_finite=False)
+            factor = scipy.linalg.cho_factor(h, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"Cholesky factorization failed: {exc}") from exc
+        return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
     diag = h.diagonal()
     scale = diag.mean() / a
@@ -239,10 +243,14 @@ def _solve_newton_system(prior, matrix, weights, g, rtol=1e-10):
     else:
         op = h
     pre = LinearOperator((a, a), matvec=lambda x: x / diag)
-    sol, info = sparse_cg(op, -g, rtol=rtol, atol=0.0, M=pre, maxiter=50 * a)
-    if info != 0:
-        raise SolverError(f"conjugate gradient did not converge (info={info})")
-    return sol
+
+    def solve(rhs):
+        sol, info = sparse_cg(op, rhs, rtol=rtol, atol=0.0, M=pre, maxiter=50 * a)
+        if info != 0:
+            raise SolverError(f"conjugate gradient did not converge (info={info})")
+        return sol
+
+    return solve
 
 
 def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
@@ -288,7 +296,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
         # one tilted_moments pass per accepted iterate feeds the gradient and
         # the Hessian; the line search's trial points need Phi alone (loss)
         mean, var = law.tilted_moments(t[i] - t[j])
-        g = _gradient(prior, matrix, t, mean)
+        g = _gradient(prior, matrix.index_arrays, t, mean)
         gn = float(np.linalg.norm(g))
         if trail is not None:
             trail.append(t.copy())
@@ -301,7 +309,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
             raise fail(f"no convergence after {iterations} iterations "
                        f"(gradient norm {gn:.3e})")
 
-        step = _solve_newton_system(prior, matrix, var, g)
+        step = _newton_solver(prior, matrix, var)(-g)
         descent = float(g @ step)
         if not descent < 0:
             raise fail("Newton direction is not a descent direction")
@@ -347,5 +355,5 @@ def map_estimate_gaussian(sigma0_sq: float, prior: PriorConfig,
     i, j, r = matrix.index_arrays
     rbar = np.bincount(i, r, a) - np.bincount(j, r, a)
     # the system matrix is the Newton Hessian with every pair weight sigma0^2
-    values = _solve_newton_system(prior, matrix, np.full(i.size, sigma0_sq), -rbar, rtol=1e-12)
+    values = _newton_solver(prior, matrix, np.full(i.size, sigma0_sq), rtol=1e-12)(rbar)
     return ScoreVector(matrix.alternatives, values)

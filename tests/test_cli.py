@@ -277,6 +277,20 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "beta:beta=1000000.0" in err and "tilt -2" in err
 
+    def test_non_finite_moments_print_only_the_error(self, tmp_path):
+        # a fresh process: the Gauss-Jacobi rule is built, not taken from a cache
+        src = str(Path(gbtscore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = ["check", "--suite", "moments", "--model", "beta:beta=1e6",
+                   "--out-dir", str(tmp_path / "o")]
+        done = subprocess.run([sys.executable, "-m", "gbtscore", *command], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: model beta:beta=1000000.0 gives unusable moments at tilt -2 "
+            "(mean nan, variance nan)"]
+
     def test_check_on_dataset(self, tmp_path, capsys):
         inp = write(tmp_path / "d.csv",
                     "a,b,r\nx,y,0.5\ny,z,-0.25\nx,z,0.75\nz,w,0.1\n")

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ALL_SPECS, BOUNDED_SPECS
 from gbtscore import (AlternativeSet, ComparisonEdit, ComparisonMatrix, EditError,
-                      EditKind, MonotoneStepResult, PriorConfig, ResilienceProbeConfig,
+                      EditKind, Family, MonotoneStepResult, PriorConfig, ResilienceProbeConfig,
                       RootLaw, SolverOptions, SupportError, check_monotone_step,
                       hessian, map_estimate, measure_resilience,
                       monotonicity_sweep, neutral_comparison, parse_model_spec,
@@ -42,6 +42,20 @@ def newton_iterations(monkeypatch, run, cold):
 
     monkeypatch.setattr(diagnostics, "map_estimate", counted)
     return run(), iterations
+
+
+def public_re_solve(law, prior, matrix, base, pair, delta, options):
+    """The step raising ``pair`` by ``delta`` as a warm re-solve of the edit
+    through the public API, from the base solve ``base``."""
+    base_vec, base_rep = base
+    value = matrix.value(*pair)
+    bumped = matrix.apply_edit(ComparisonEdit(EditKind.CHANGE, pair, value + delta))
+    new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base_vec)
+    err = base_rep.certified_error + new_rep.certified_error
+    margin = new_vec.value_of(pair[0]) - base_vec.value_of(pair[0])
+    margin_other = new_vec.value_of(pair[1]) - base_vec.value_of(pair[1])
+    return MonotoneStepResult(pair, delta, margin, margin_other, err,
+                              margin > 10.0 * err, abs(margin) > 10.0 * err)
 
 
 class TestConditionalMoments:
@@ -137,37 +151,122 @@ class TestMonotoneStep:
         # the public API, warm from the same base solve
         law, prior = RootLaw.uniform(), PriorConfig(1.0)
         m = instance(law, 6, 0.6, 33)
-        base_vec, base_rep = map_estimate(law, prior, m, TIGHT)
+        base = map_estimate(law, prior, m, TIGHT)
         checked = 0
         for a, b, stored in m.iter_entries():
             for pair, value in (((a, b), stored), ((b, a), -stored)):
                 delta = diagnostics._next_step(law, value, 0.25)
                 if delta is None:
                     continue
-                bumped = m.apply_edit(ComparisonEdit(EditKind.CHANGE, pair, value + delta))
-                new_vec, new_rep = map_estimate(law, prior, bumped, TIGHT, initial=base_vec)
-                err = base_rep.certified_error + new_rep.certified_error
-                margin = new_vec.value_of(pair[0]) - base_vec.value_of(pair[0])
-                margin_other = new_vec.value_of(pair[1]) - base_vec.value_of(pair[1])
-                expected = MonotoneStepResult(pair, delta, margin, margin_other, err,
-                                              margin > 10.0 * err, abs(margin) > 10.0 * err)
+                expected = public_re_solve(law, prior, m, base, pair, delta, TIGHT)
                 assert check_monotone_step(law, prior, m, pair, delta, TIGHT) == expected
                 checked += 1
         assert checked > 2 * m.num_pairs - 2
 
-    def test_sweep_warm_starts_save_newton_iterations(self, monkeypatch):
+
+def counted_sweep(monkeypatch, law, prior, matrix, options=None):
+    """The sweep's results, its map_estimate calls and the results of the
+    rows it re-solved by Newton."""
+    solves, fallbacks = [], []
+
+    def solve(*args, **kwargs):
+        solves.append(args)
+        return map_estimate(*args, **kwargs)
+
+    def fallback(*args):
+        fallbacks.append(re_solve(*args))
+        return fallbacks[-1]
+
+    re_solve = diagnostics._monotone_step
+    monkeypatch.setattr(diagnostics, "map_estimate", solve)
+    monkeypatch.setattr(diagnostics, "_monotone_step", fallback)
+    return monotonicity_sweep(law, prior, matrix, options), solves, fallbacks
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("sigma_sq", [1.0, 1e4])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_matches_per_entry_re_solves(self, monkeypatch, spec, sigma_sq):
+        law, prior = parse_model_spec(spec), PriorConfig(sigma_sq)
+        m = instance(law, 12, 0.5, 29)
+        results, solves, fallbacks = counted_sweep(monkeypatch, law, prior, m)
+        # the base solve, plus one warm re-solve per row that fell back
+        assert len(solves) == 1 + len(fallbacks)
+        base = map_estimate(law, prior, m)
+        assert len(results) > 15
+        for res in results:
+            want = public_re_solve(law, prior, m, base, res.pair, res.delta, None)
+            assert (res.pair, res.delta, res.passed, res.conclusive) == \
+                (want.pair, want.delta, want.passed, want.conclusive)
+            assert abs(res.margin - want.margin) <= res.certified_error + want.certified_error
+            assert abs(res.margin_other - want.margin_other) <= \
+                res.certified_error + want.certified_error
+
+    def test_solves_the_base_once(self, monkeypatch):
         law = RootLaw.knary(5)
         m = instance(law, 30, 0.2, 29)
-        prior = PriorConfig(1.0)
-        warm, warm_iterations = newton_iterations(
-            monkeypatch, lambda: monotonicity_sweep(law, prior, m), cold=False)
-        cold, cold_iterations = newton_iterations(
-            monkeypatch, lambda: monotonicity_sweep(law, prior, m), cold=True)
-        assert len(warm_iterations) == len(cold_iterations) == len(warm) + 1 > 30
-        assert sum(warm_iterations) < sum(cold_iterations)
-        for w, c in zip(warm, cold):
-            assert w.passed and c.passed
-            assert abs(w.margin - c.margin) <= w.certified_error + c.certified_error
+        results, solves, fallbacks = counted_sweep(monkeypatch, law, PriorConfig(1.0), m)
+        assert len(results) > 30 and all(res.passed for res in results)
+        assert len(solves) == 1 and not fallbacks
+
+    def test_gaussian_rows_certify_after_one_chord_step(self, monkeypatch):
+        # a constant Hessian makes the first chord step the exact answer
+        law = RootLaw.gaussian(1.0)
+        m = instance(law, 30, 0.2, 29)
+        tilts = []
+        moments = RootLaw.cumulant_prime
+
+        def counted(self, theta):
+            tilts.append(np.shape(theta))
+            return moments(self, theta)
+
+        monkeypatch.setattr(RootLaw, "cumulant_prime", counted)
+        results, solves, _ = counted_sweep(monkeypatch, law, PriorConfig(1e4), m)
+        assert len(solves) == 1 and len(results) == m.num_pairs
+        # one block of every row: its start, and the check after one step
+        assert tilts == [(len(results), m.num_pairs)] * 2
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_block_size_does_not_change_results(self, monkeypatch, spec):
+        law, prior = parse_model_spec(spec), PriorConfig(1.0)
+        m = instance(law, 30, 0.2, 31)
+        assert m.num_pairs < diagnostics._SWEEP_BLOCK < 100 * m.num_pairs  # one block
+        batched = monotonicity_sweep(law, prior, m)
+        monkeypatch.setattr(diagnostics, "_SWEEP_BLOCK", 1)
+        single = monotonicity_sweep(law, prior, m)
+        if law.family != Family.BETA:
+            assert batched == single
+            return
+        # beta sizes its quadrature rule by the largest tilt in the call
+        for b, s in zip(batched, single, strict=True):
+            assert (b.pair, b.delta, b.passed, b.conclusive) == \
+                (s.pair, s.delta, s.passed, s.conclusive)
+            assert abs(b.margin - s.margin) <= b.certified_error + s.certified_error
+
+    def test_fallback_rows_are_re_solves(self, monkeypatch):
+        law, prior = RootLaw.knary(5), PriorConfig(1e4)
+        m = instance(law, 30, 0.2, 29)
+        results, solves, fallbacks = counted_sweep(monkeypatch, law, prior, m)
+        assert 0 < len(fallbacks) < len(results)
+        assert all(res in results for res in fallbacks)
+        base = map_estimate(law, prior, m)
+        for res in fallbacks:
+            assert res == public_re_solve(law, prior, m, base, res.pair, res.delta, None)
+
+    def test_unregularized_prior_re_solves_every_entry(self, monkeypatch):
+        law = RootLaw.knary(5)
+        m = instance(law, 12, 0.5, 29)
+        results, solves, fallbacks = counted_sweep(monkeypatch, law, PriorConfig(math.inf), m)
+        assert len(results) > 20
+        assert len(solves) == 1 + len(results) == 1 + len(fallbacks)
+
+    def test_unchanged_value_is_an_edit_error(self):
+        # 1e17 + 0.25 rounds back to 1e17, which the splice rejects
+        law = RootLaw.gaussian(1.0)
+        m = ComparisonMatrix(AlternativeSet.from_ids(["a", "b", "c"]),
+                             [("a", "b", 1.0), ("b", "c", 1e17)], law=law)
+        with pytest.raises(EditError, match="must alter"):
+            monotonicity_sweep(law, PriorConfig(1.0), m, SolverOptions(tolerance=1e30))
 
 
 class TestResilience:

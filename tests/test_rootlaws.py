@@ -295,6 +295,22 @@ class TestTiltedMoments:
         assert np.array_equal(mean, -law.tilted_moments(-theta)[0])
         assert np.all(var >= 0.0)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_two_dimensional_tilts_match_row_by_row(self, spec):
+        law = parse_model_spec(spec)
+        # every row's largest tilt is in [2, 3), so beta sizes one rule for all
+        theta = np.array([[-2.5, 0.0, 0.1, 1.7], [2.9, -1e-3, 0.6, -0.2],
+                          [2.0, 1e-8, -1.4, 0.25]])
+        mean, var = law.tilted_moments(theta)
+        phi = law.cumulant(theta)
+        assert mean.shape == var.shape == phi.shape == (3, 4)
+        rows = [(*law.tilted_moments(row), law.cumulant(row)) for row in theta]
+        # beta's moment sums are one matmul, whose rounding may depend on the
+        # number of columns; its tiny-tilt mean is only good to ~1e-16 absolute
+        tol = 1e-14 if law.family == Family.BETA else 0.0
+        for got, want in zip((mean, var, phi), zip(*rows)):
+            np.testing.assert_allclose(got, np.array(want), rtol=tol, atol=0.1 * tol)
+
     @pytest.mark.parametrize("theta", [30.0, 700.0])
     def test_knary_variance_keeps_relative_precision_at_large_tilts(self, theta):
         # Phi''(700) is about 2.5e-153, so only a relative test sees an
