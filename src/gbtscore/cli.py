@@ -32,7 +32,7 @@ from .errors import (GbtError, InputError, ParameterError, SolverError,
 from .rootlaws import RootLaw, parse_model_spec
 from .sim import (ExperimentConfig, erdos_renyi_graph, sample_ground_truth,
                   synthesize_comparisons)
-from .solver import (PriorConfig, ScoreVector, SolverOptions, map_estimate)
+from .solver import PriorConfig, ScoreVector, SolverOptions, _closed_group, map_estimate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -254,8 +254,9 @@ def _check_monotonicity(args, law, prior, options):
             pairs = erdos_renyi_graph(n, 0.7, rng)
             if not pairs[0].size:
                 continue
-            truth = sample_ground_truth(n, 1.0, rng)
-            bases.append(synthesize_comparisons(law, truth, pairs, rng))
+            base = synthesize_comparisons(law, sample_ground_truth(n, 1.0, rng), pairs, rng)
+            if _closed_group(law, prior, base) is None:
+                bases.append(base)
     checked = 0
     for matrix in bases:
         for res in monotonicity_sweep(law, prior, matrix, options):

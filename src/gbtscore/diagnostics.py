@@ -20,8 +20,8 @@ stacked problem: one moments pass and one multi-right-hand-side solve per
 iteration. For the Gaussian model the Hessian is constant and the first
 chord step is the explicit ``M^{-1} rbar`` answer. A row whose gradient norm
 turns non-finite, fails to halve in one step, or outlasts
-``max_iterations`` is re-solved by Newton instead. Under the unregularized
-prior and above the dense-solver limit every entry is re-solved.
+``max_iterations`` is re-solved by Newton instead. This one engine serves
+every prior and size (CG solves each row above the dense-solver limit).
 
 Every edited re-solve, and the resilience probes, start Newton from the base
 solution: the influence bound puts a bounded model's edited optimum within
@@ -38,9 +38,9 @@ inconclusive rather than failed.
 
 The drivers name an entry by its sorted position in the matrix's
 ``index_arrays`` and read scores by alternative index; ids appear only in
-what they report. Under the unregularized prior the scores need a connected
-comparison graph, so resilience probes skip an edit that disconnects it, as
-they skip edits that cancel out, and random bases are drawn until connected.
+what they report. Without a prior, data with no finite scores is never solved:
+random bases are redrawn, resilience probes skip such an edit, as they skip
+edits that cancel out, and the sweep skips such a step to ``+r_max``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .comparisons import ComparisonMatrix, _write_csv
 from .errors import EditError, ParameterError
 from .rootlaws import RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
-from .solver import (_DENSE_LIMIT, PriorConfig, ScoreVector, SolverOptions, _gradient,
-                     _newton_solver, connected_components, map_estimate)
+from .solver import (PriorConfig, ScoreVector, SolverOptions, _closed_group, _gradient,
+                     _newton_solver, _stopping_rule, map_estimate)
 
 __all__ = [
     "MonotoneStepResult",
@@ -175,10 +175,10 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
 
     The base problem is solved once and shared. Entries already at the top
     of a bounded grid, or within 1e-6 of a bounded supremum, admit no
-    increase and are skipped. Poisson values step by one, continuous ones by
-    0.25 (at most halfway to the supremum). Under a finite prior on the
-    dense path the raised problems run chord Newton on the base Hessian's
-    one factor, in blocks of about ``_SWEEP_BLOCK`` edge values.
+    increase and are skipped, as is, without a prior, a step to ``+r_max``
+    that leaves no finite scores. Poisson values step by one, continuous ones
+    by 0.25 (at most halfway to the supremum). The raised problems run chord
+    Newton on the base factor, in blocks of about ``_SWEEP_BLOCK`` edge values.
     """
     options = options or SolverOptions()
     base = map_estimate(law, prior, matrix, options)
@@ -188,10 +188,9 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
         delta = _next_step(law, value, 0.25)
         if delta is not None:
             matrix._check_value(pos, value + delta)
-            steps.append((pos, delta))
-    if not prior.is_regularized or len(matrix.alternatives) > _DENSE_LIMIT:
-        return [_monotone_step(law, prior, matrix, base, pos, True, delta, options)
-                for pos, delta in steps]
+            if prior.is_regularized or value + delta < law.r_max or \
+                    _closed_group(law, prior, matrix._splice(pos, value + delta)) is None:
+                steps.append((pos, delta))
     t0 = base[0].values
     solve = _newton_solver(prior, matrix, law.tilted_moments(t0[i] - t0[j])[1])
     block = max(1, _SWEEP_BLOCK // r.size)
@@ -206,10 +205,10 @@ def _chord_block(law, prior, matrix, base, solve, steps, options):
     Each row of the block is the base problem with one entry raised. Every
     row starts from the base solution and steps with ``solve``, the base
     Hessian's one factor, which is each edited Hessian at that start. A row
-    stops on its own certificate ``2 sigma^2 ||grad|| <= tolerance``, the
-    gradient taken on the edited data. A row whose gradient norm turns
-    non-finite, fails to halve in one step or still misses the tolerance
-    after ``max_iterations`` steps is re-solved by Newton instead.
+    stops on the solver's stopping rule, the gradient taken on the edited
+    data. A row whose gradient norm turns non-finite, fails to halve in one
+    step or still misses the tolerance after ``max_iterations`` steps is
+    re-solved by Newton instead.
     """
     i, j, r = matrix.index_arrays
     n_alt, n_edge = len(matrix.alternatives), r.size
@@ -229,8 +228,7 @@ def _chord_block(law, prior, matrix, base, solve, steps, options):
         g = _gradient(prior, (stacked_i[:size], stacked_j[:size], raised.ravel()),
                       t.ravel(), mean.ravel()).reshape(rows.size, n_alt)
         norm = np.linalg.norm(g, axis=1)
-        err = 2.0 * prior.sigma_sq * norm
-        done = err <= options.tolerance
+        err, done = _stopping_rule(prior, norm, options.tolerance)
         going = ~done & np.isfinite(norm) & (norm <= 0.5 * last) \
             & (iteration < options.max_iterations)
         for k in np.flatnonzero(~going):
@@ -327,12 +325,6 @@ def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng):
             return kind, pair, matrix._splice(pos, value)
 
 
-def _solvable(prior: PriorConfig, matrix: ComparisonMatrix) -> bool:
-    """Whether the prior admits the matrix: the unregularized one needs a
-    connected comparison graph."""
-    return prior.is_regularized or len(connected_components(matrix)) == 1
-
-
 def _random_base(law: RootLaw, prior: PriorConfig, rng) -> ComparisonMatrix:
     n = 10
     while True:
@@ -341,7 +333,7 @@ def _random_base(law: RootLaw, prior: PriorConfig, rng) -> ComparisonMatrix:
             continue
         truth = ScoreVector(default_alternatives(n), rng.normal(size=n))
         base = synthesize_comparisons(law, truth, pairs, rng)
-        if _solvable(prior, base):
+        if _closed_group(law, prior, base) is None:
             return base
 
 
@@ -389,7 +381,7 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
             kinds.append(kind)
             pairs.append(pair)
         dist = base.edit_distance(edited)
-        if dist == 0 or not _solvable(prior, edited):
+        if dist == 0 or _closed_group(law, prior, edited) is not None:
             continue
         edited_vec, _ = map_estimate(law, prior, edited, options, initial=base_vec)
         change = float(np.linalg.norm(edited_vec.values - base_vec.values))

@@ -54,8 +54,8 @@ class PriorConfig:
 
     ``sigma_sq=math.inf`` selects the unregularized variant (no quadratic
     term). That loss is only shift-invariant-convex, so the solver then
-    requires a connected comparison graph, pins the zero-sum gauge,
-    and stops on the plain gradient norm instead of the certified bound.
+    rejects data with no finite minimiser (``_closed_group``), pins the zero-sum
+    gauge, and stops on the plain gradient norm instead of the certified bound.
     """
 
     sigma_sq: float = 1.0
@@ -202,7 +202,7 @@ def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
     """Index groups of the comparison graph, largest first (ties by lowest
     index), each ascending."""
     # imported on first use: csgraph's extension modules add ~1 MB to every
-    # process, and only unregularized solves need it
+    # process, and only the regularization experiment needs this function
     from scipy.sparse.csgraph import connected_components as label_components
 
     a = len(matrix.alternatives)
@@ -214,11 +214,43 @@ def connected_components(matrix: ComparisonMatrix) -> list[list[int]]:
     return sorted((g.tolist() for g in groups), key=lambda g: (-len(g), g[0]))
 
 
+def _closed_group(law, prior, matrix):
+    """None when finite scores exist (always under a finite prior), else the
+    ascending indices of a group that won every comparison it has with the
+    rest at ``+r_max``. Ford's condition: with an arc x -> y for each compared
+    pair unless x beat y at ``+r_max``, such a group is a strongly connected
+    component that no arc leaves."""
+    if prior.is_regularized:
+        return None
+    from scipy.sparse.csgraph import connected_components as label_components
+
+    i, j, r = matrix.index_arrays
+    forward, backward = r < law.r_max, r > -law.r_max
+    tail = np.concatenate([i[forward], j[backward]])
+    head = np.concatenate([j[forward], i[backward]])
+    a = len(matrix.alternatives)
+    graph = scipy.sparse.coo_matrix((np.ones(tail.size), (tail, head)), shape=(a, a))
+    count, labels = label_components(graph, connection="strong")
+    if count == 1:
+        return None
+    exits = np.zeros(count, dtype=bool)
+    exits[labels[tail][labels[tail] != labels[head]]] = True
+    return np.flatnonzero(labels == labels[np.argmin(exits[labels])])
+
+
+def _stopping_rule(prior, norm, tolerance):
+    """Certified error ``2 sigma^2 ||g||`` (inf without a prior) at gradient
+    norm(s) ``norm``, and whether it, or ``||g||`` without a prior, is <= tolerance."""
+    if not prior.is_regularized:  # [()] makes a 0-d array a scalar
+        return np.full(np.shape(norm), math.inf)[()], norm <= tolerance
+    err = 2.0 * prior.sigma_sq * norm
+    return err, err <= tolerance
+
+
 def _newton_solver(prior, matrix, weights, rtol=1e-10):
-    """``solve(rhs)`` for H x = rhs, H the Hessian for pair ``weights``, built,
-    gauged and factored once. Dense Cholesky (A <= ``_DENSE_LIMIT``) takes a
-    right-hand side of shape (A,) or (A, K); CG takes (A,), to relative
-    residual ``rtol``."""
+    """``solve(rhs)`` for H x = rhs, rhs of shape (A,) or (A, K), H the Hessian
+    for pair ``weights``, built, gauged and factored once: dense Cholesky up to
+    ``_DENSE_LIMIT`` alternatives, CG column by column to residual ``rtol`` above."""
     a = len(matrix.alternatives)
     use_dense = a <= _DENSE_LIMIT
     # the likelihood Hessian annihilates constants; without a prior, pin the
@@ -245,6 +277,8 @@ def _newton_solver(prior, matrix, weights, rtol=1e-10):
     pre = LinearOperator((a, a), matvec=lambda x: x / diag)
 
     def solve(rhs):
+        if rhs.ndim == 2:
+            return np.column_stack([solve(col) for col in rhs.T])
         sol, info = sparse_cg(op, rhs, rtol=rtol, atol=0.0, M=pre, maxiter=50 * a)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
@@ -263,14 +297,18 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
     ``sigma_sq=inf`` the start is re-centred to zero sum. The stopping rule
     and the certificate use the true gradient at the returned point, so a
     start changes the Newton path, never what the report certifies.
-    Deterministic in its inputs. Raises SolverError (carrying the partial
-    report) on non-convergence within ``max_iterations`` or on NaN loss.
+    Deterministic in its inputs. Raises SolverError on data with no finite
+    scores, and with the partial report on non-convergence or on NaN loss.
     """
     options = options or SolverOptions()
     if matrix.num_pairs < 1:
         raise ParameterError("cannot estimate scores from an empty comparison set")
-    if not prior.is_regularized and len(connected_components(matrix)) > 1:
-        raise SolverError("the unregularized variant requires a connected comparison graph")
+    group = _closed_group(law, prior, matrix)
+    if group is not None:
+        ids = [matrix.alternatives.ids[k] for k in group[:5]] + ["..."] * (group.size > 5)
+        raise SolverError(f"no finite scores under the unregularized prior: the group {ids} "
+                          f"({group.size} of {len(matrix.alternatives)} alternatives) won "
+                          "every comparison it has with the rest at +r_max")
 
     i, j, _ = matrix.index_arrays
     if initial is None:
@@ -285,9 +323,6 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
     trail: list[np.ndarray] | None = [] if options.track_iterates else None
     iterations = 0
 
-    def certified(gn: float) -> float:
-        return 2.0 * prior.sigma_sq * gn if prior.is_regularized else math.inf
-
     def fail(message: str) -> SolverError:
         report = SolveReport(iterations, gn, err, False, current, trail)
         return SolverError(message, report=report)
@@ -300,8 +335,7 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
         gn = float(np.linalg.norm(g))
         if trail is not None:
             trail.append(t.copy())
-        err = certified(gn)
-        done = err <= options.tolerance if prior.is_regularized else gn <= options.tolerance
+        err, done = _stopping_rule(prior, gn, options.tolerance)
         if done:
             vec = ScoreVector(matrix.alternatives, t)
             return vec, SolveReport(iterations, gn, err, True, current, trail)

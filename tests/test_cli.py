@@ -81,6 +81,18 @@ class TestFit:
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["converged"] is False
 
+    @pytest.mark.parametrize("spec, tie", [("knary:K=5", 0.5), ("uniform", 0.5),
+                                           ("beta2", 0.5), ("bernoulli", -1.0)])
+    def test_unregularized_without_finite_scores_exit_3(self, tmp_path, capsys, spec, tie):
+        inp = write(tmp_path / "top.csv", f"a,b,r\na0,a1,1\na0,a2,1\na1,a2,{tie}\n")
+        for command in (["fit"], ["check", "--suite", "monotonicity"]):
+            out = tmp_path / command[0]
+            rc = main([*command, "--input", inp, "--model", spec, "--sigma-sq", "inf",
+                       "--out-dir", str(out)])
+            assert rc == 3
+            assert "['a0'] (1 of 3 alternatives)" in capsys.readouterr().err
+            assert not (out / "scores.csv").exists()
+
     def test_failure_report_is_success_report_plus_error(self, tmp_path):
         rows = ["a,b,r"] + [f"n{i},n{j},0.8" for i in range(8) for j in range(i + 1, 8)]
         inp = write(tmp_path / "hard.csv", "\n".join(rows) + "\n")
@@ -203,6 +215,17 @@ class TestCheck:
     def test_monotonicity_passes(self, tmp_path, capsys):
         rc = main(["check", "--suite", "monotonicity", "--model", "uniform",
                    "--instances", "3", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, seed, instances", [
+        ("bernoulli", "0", "3"), ("bernoulli", "2", "3"), ("knary:K=5", "3", "4")])
+    def test_unregularized_monotonicity_redraws_bases(self, tmp_path, capsys, spec, seed,
+                                                      instances):
+        # these seeds drew bases with no finite scores: a Cholesky failure, or
+        # false violations
+        rc = main(["check", "--suite", "monotonicity", "--model", spec, "--sigma-sq", "inf",
+                   "--seed", seed, "--instances", instances, "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "pass" in capsys.readouterr().out
 

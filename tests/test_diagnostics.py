@@ -1,5 +1,6 @@
 """Diagnostics: monotone steps, resilience probes, neutral comparisons."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from gbtscore import (AlternativeSet, ComparisonEdit, ComparisonMatrix, EditErro
                       hessian, map_estimate, measure_resilience,
                       monotonicity_sweep, neutral_comparison, parse_model_spec,
                       resilience_bound, write_probe_csv)
-from gbtscore import diagnostics
+from gbtscore import diagnostics, solver
 from gbtscore.sim import (default_alternatives, erdos_renyi_graph, sample_ground_truth,
                           synthesize_comparisons)
 
@@ -52,6 +53,8 @@ def public_re_solve(law, prior, matrix, base, pair, delta, options):
     bumped = matrix.apply_edit(ComparisonEdit(EditKind.CHANGE, pair, value + delta))
     new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base_vec)
     err = base_rep.certified_error + new_rep.certified_error
+    if not math.isfinite(err):
+        err = 0.0  # unregularized solves carry no certified bound
     margin = new_vec.value_of(pair[0]) - base_vec.value_of(pair[0])
     margin_other = new_vec.value_of(pair[1]) - base_vec.value_of(pair[1])
     return MonotoneStepResult(pair, delta, margin, margin_other, err,
@@ -253,12 +256,60 @@ class TestBatchedSweep:
         for res in fallbacks:
             assert res == public_re_solve(law, prior, m, base, res.pair, res.delta, None)
 
-    def test_unregularized_prior_re_solves_every_entry(self, monkeypatch):
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_unregularized_sweep_matches_per_entry_re_solves(self, monkeypatch, spec):
+        law, prior = parse_model_spec(spec), PriorConfig(math.inf)
+        seed = next(s for s in itertools.count(29)
+                    if solver._closed_group(law, prior, instance(law, 12, 0.5, s)) is None)
+        m = instance(law, 12, 0.5, seed)
+        results, solves, fallbacks = counted_sweep(monkeypatch, law, prior, m)
+        # the base solve, plus one warm re-solve per row that fell back
+        assert len(results) > 10 and len(solves) == 1 + len(fallbacks) < 1 + len(results)
+        base = map_estimate(law, prior, m)
+        for res in results:
+            want = public_re_solve(law, prior, m, base, res.pair, res.delta, None)
+            assert (res.pair, res.delta, res.passed, res.conclusive) == \
+                (want.pair, want.delta, want.passed, want.conclusive)
+            # no certificate without a prior: both stop on ||grad|| <= 1e-8, and
+            # the margins, of order 0.1, agree to 6e-8 on these instances
+            assert abs(res.margin - want.margin) <= 1e-6
+            assert abs(res.margin_other - want.margin_other) <= 1e-6
+
+    def test_unregularized_sweep_skips_a_step_with_no_finite_scores(self):
+        # raising a0 over a2 to +1 would leave a0 winning all it has at the top
         law = RootLaw.knary(5)
+        m = ComparisonMatrix(AlternativeSet.from_ids(["a0", "a1", "a2"]),
+                             [("a0", "a1", 1.0), ("a0", "a2", 0.5), ("a1", "a2", 0.5)], law=law)
+        results = monotonicity_sweep(law, PriorConfig(math.inf), m)
+        assert [res.pair for res in results] == [("a1", "a2")]
+        assert all(res.passed for res in results)
+        assert len(monotonicity_sweep(law, PriorConfig(1.0), m)) == 2
+
+    @pytest.mark.parametrize("sigma_sq", [1.0, 1e4])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_cg_path_matches_dense_re_solves(self, monkeypatch, spec, sigma_sq):
+        law, prior = parse_model_spec(spec), PriorConfig(sigma_sq)
         m = instance(law, 12, 0.5, 29)
-        results, solves, fallbacks = counted_sweep(monkeypatch, law, PriorConfig(math.inf), m)
-        assert len(results) > 20
-        assert len(solves) == 1 + len(results) == 1 + len(fallbacks)
+        cg_calls = []
+        real_cg = solver.sparse_cg
+
+        def counted_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_DENSE_LIMIT", 2)
+        monkeypatch.setattr(solver, "sparse_cg", counted_cg)
+        results = monotonicity_sweep(law, prior, m)
+        monkeypatch.undo()
+        assert cg_calls and len(results) > 15
+        base = map_estimate(law, prior, m)
+        for res in results:
+            want = public_re_solve(law, prior, m, base, res.pair, res.delta, None)
+            assert (res.pair, res.delta, res.passed, res.conclusive) == \
+                (want.pair, want.delta, want.passed, want.conclusive)
+            assert abs(res.margin - want.margin) <= res.certified_error + want.certified_error
+            assert abs(res.margin_other - want.margin_other) <= \
+                res.certified_error + want.certified_error
 
     def test_unchanged_value_is_an_edit_error(self):
         # 1e17 + 0.25 rounds back to 1e17, which the splice rejects

@@ -268,6 +268,17 @@ class TestMapEstimate:
             map_estimate(RootLaw.uniform(), PriorConfig(math.inf), m)
         assert len(connected_components(m)) == 2
 
+    @pytest.mark.parametrize("spec", ["knary:K=5", "uniform", "beta2", "bernoulli"])
+    def test_unregularized_rejects_a_group_that_won_everything_at_the_top(self, spec):
+        # a0 beats a1 and a2 at +1: raising a0 lowers the loss without end
+        law = parse_model_spec(spec)
+        tie = -1.0 if spec == "bernoulli" else 0.5
+        m = ComparisonMatrix(AlternativeSet.from_ids(["a0", "a1", "a2"]),
+                             [("a0", "a1", 1.0), ("a0", "a2", 1.0), ("a1", "a2", tie)], law=law)
+        with pytest.raises(SolverError, match=r"no finite scores.*\['a0'\] \(1 of 3"):
+            map_estimate(law, PriorConfig(math.inf), m)
+        assert map_estimate(law, PriorConfig(1.0), m)[1].converged
+
     def test_unregularized_is_large_variance_limit(self):
         law = RootLaw.uniform()
         m = random_instance(law, 7, 0.9, 17)
@@ -376,6 +387,48 @@ def test_connected_components_match_bfs(data):
         np.array([v for _, v in pairs], dtype=np.int64),
         np.zeros(len(pairs))))
     assert connected_components(m) == bfs_components(n, pairs)
+
+
+UNREGULARIZED = PriorConfig(math.inf)
+
+
+def comparison_values(law):
+    """Values in the law's support, with the extremes +-r_max common. Bounded
+    continuous values stay within 0.9 of zero otherwise: a value one ulp below
+    r_max puts the finite optimum near 1e16, beyond float64 Newton."""
+    pts = law.support_points()
+    if pts is not None:
+        return st.sampled_from(pts.tolist())
+    if law.is_bounded:
+        return st.sampled_from([-law.r_max, law.r_max]) | st.floats(-0.9, 0.9)
+    if law.support_kind == "discrete":
+        return st.integers(-4, 4).map(float)
+    return st.floats(-3.0, 3.0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_group_decides_finite_scores(data):
+    law = parse_model_spec(data.draw(st.sampled_from(ALL_SPECS)))
+    n = data.draw(st.integers(2, 6))
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    values = data.draw(st.lists(comparison_values(law), min_size=len(pairs),
+                                max_size=len(pairs)))
+    ids = [f"x{k}" for k in range(n)]
+    m = ComparisonMatrix(AlternativeSet.from_ids(ids),
+                         [(ids[u], ids[v], x) for (u, v), x in zip(pairs, values)], law=law)
+    group = solver._closed_group(law, UNREGULARIZED, m)
+    if group is None:
+        assert map_estimate(law, UNREGULARIZED, m)[1].converged
+        return
+    # raising the group never raises the loss (up to rounding of terms ~ step)
+    direction = np.zeros(n)
+    direction[group] = 1.0
+    steps = [0.0, 1e-2, 1.0, 1e2, 1e4, 1e6]
+    losses = [loss(law, UNREGULARIZED, m, s * direction) for s in steps]
+    for s, before, after in zip(steps[1:], losses, losses[1:]):
+        assert after <= before + 1e-14 * s * m.num_pairs
 
 
 class TestGaussianClosedForm:
