@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -45,7 +46,7 @@ class AlternativeSet:
         if len(self.ids) < 1:
             raise ParameterError("an alternative set needs at least one id")
         if len(set(self.ids)) != len(self.ids):
-            dupes = sorted({i for i in self.ids if list(self.ids).count(i) > 1})
+            dupes = sorted(i for i, n in Counter(self.ids).items() if n > 1)
             raise ParameterError(f"duplicate alternative ids: {dupes[:5]}")
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
 

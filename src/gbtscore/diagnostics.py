@@ -12,24 +12,18 @@ Three facts about the score estimator are checked empirically here:
   ``Phi'(theta_a - theta_b)`` leaves the scores unchanged, larger values
   raise the winner, smaller ones lower it.
 
-The Hessian depends on the scores only, not on the comparisons, so at the
-base solution every single-entry edit has the base Hessian. The
-monotonicity sweep therefore factors that Hessian once and runs chord
-(simplified) Newton on the edited problems in blocks, each block one
-stacked problem: one moments pass and one multi-right-hand-side solve per
-iteration. For the Gaussian model the Hessian is constant and the first
-chord step is the explicit ``M^{-1} rbar`` answer. A row whose gradient norm
-turns non-finite, fails to halve in one step, or outlasts
-``max_iterations`` is re-solved by Newton instead. This one engine serves
-every prior and size (CG solves each row above the dense-solver limit).
-
-Every edited re-solve, and the resilience probes, start Newton from the base
-solution: the influence bound puts a bounded model's edited optimum within
-``4 sqrt(2) r_max sigma^2`` per edit of that start. The certificate is the
-same on every path: each edited problem stops on, and reports,
+The Hessian depends on the scores only, not on the comparisons: at the base
+solution a changed value keeps the base Hessian, and an added or removed pair
+moves it by one pair weight. Both drivers therefore factor that Hessian once
+per base and pass their edited problems, in blocks, to the solver's one chord
+(simplified) Newton engine, which serves every prior and size. For the
+Gaussian model the first chord step of a changed value is the exact answer.
+A row that stalls is re-solved by Newton from the base solution, which the
+influence bound puts within ``4 sqrt(2) r_max sigma^2`` per edit of a bounded
+model's edited optimum. Every edited problem stops on, and reports,
 ``2 sigma^2 ||grad||`` at its own returned point, with the gradient taken on
-the edited data, wherever it started and however it stepped. The scaling
-probes stay cold, since ``lam * R`` has no bounded distance from the base.
+the edited data, however it got there. The scaling probes stay cold, since
+``lam * R`` has no bounded distance from the base.
 
 Strictness below numerical resolution cannot be decided, so monotone checks
 are certified only when the observed margin exceeds ten times the combined
@@ -51,11 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparisons import ComparisonMatrix, _write_csv
-from .errors import EditError, ParameterError
+from .errors import EditError, ParameterError, SolverError
 from .rootlaws import RootLaw
 from .sim import default_alternatives, erdos_renyi_graph, synthesize_comparisons
-from .solver import (PriorConfig, ScoreVector, SolverOptions, _closed_group, _gradient,
-                     _newton_solver, _stopping_rule, map_estimate)
+from .solver import (PriorConfig, ScoreVector, SolverOptions, _chord_solver, _closed_group,
+                     map_estimate)
 
 __all__ = [
     "MonotoneStepResult",
@@ -71,9 +65,10 @@ __all__ = [
 ]
 
 RESILIENCE_COEFFICIENT = 4.0 * math.sqrt(2.0)
-# edge values per block of the batched monotonicity sweep: bigger blocks
-# raise peak memory and gain little
-_SWEEP_BLOCK = 8192
+# edge values per chord block of either driver: bigger ones raise memory, gain little
+_CHORD_BLOCK = 8192
+# random edits of a base skipped in a row before the probes give up on it
+_MAX_SKIPS = 1000
 
 
 def resilience_bound(law: RootLaw, prior: PriorConfig) -> float:
@@ -134,15 +129,6 @@ def _step_result(matrix, base, a, b, delta, values, error):
         conclusive=abs(margin) > 10.0 * err)
 
 
-def _monotone_step(law, prior, matrix, base, pos, forward, delta, options):
-    """Re-solve with r_ij (r_ji unless forward) at sorted position pos raised by delta."""
-    i, j, r = matrix.index_arrays
-    a, b, sign = (i[pos], j[pos], 1.0) if forward else (j[pos], i[pos], -1.0)
-    bumped = matrix._splice(pos, sign * (sign * float(r[pos]) + delta))
-    new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base[0])
-    return _step_result(matrix, base, a, b, delta, new_vec.values, new_rep.certified_error)
-
-
 def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                         pair: tuple[str, str], delta: float,
                         options: SolverOptions | None = None) -> MonotoneStepResult:
@@ -166,7 +152,10 @@ def check_monotone_step(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatr
         raise EditError(f"step leaves the support: {value!r} + {delta!r} > {law.r_max}")
     pos, _, forward = matrix._locate(*pair)
     base = map_estimate(law, prior, matrix, options)
-    return _monotone_step(law, prior, matrix, base, pos, forward, delta, options)
+    bumped = matrix._splice(pos, value + delta if forward else -(value + delta))
+    new_vec, new_rep = map_estimate(law, prior, bumped, options, initial=base[0])
+    a, b = map(matrix.alternatives.index_of, pair)
+    return _step_result(matrix, base, a, b, delta, new_vec.values, new_rep.certified_error)
 
 
 def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
@@ -178,9 +167,8 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
     increase and are skipped, as is, without a prior, a step to ``+r_max``
     that leaves no finite scores. Poisson values step by one, continuous ones
     by 0.25 (at most halfway to the supremum). The raised problems run chord
-    Newton on the base factor, in blocks of about ``_SWEEP_BLOCK`` edge values.
+    Newton on the base factor, in blocks of about ``_CHORD_BLOCK`` edge values.
     """
-    options = options or SolverOptions()
     base = map_estimate(law, prior, matrix, options)
     i, j, r = matrix.index_arrays
     steps = []
@@ -191,55 +179,15 @@ def monotonicity_sweep(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatri
             if prior.is_regularized or value + delta < law.r_max or \
                     _closed_group(law, prior, matrix._splice(pos, value + delta)) is None:
                 steps.append((pos, delta))
-    t0 = base[0].values
-    solve = _newton_solver(prior, matrix, law.tilted_moments(t0[i] - t0[j])[1])
-    block = max(1, _SWEEP_BLOCK // r.size)
-    return [res for lo in range(0, len(steps), block)
-            for res in _chord_block(law, prior, matrix, base, solve, steps[lo:lo + block],
-                                    options)]
-
-
-def _chord_block(law, prior, matrix, base, solve, steps, options):
-    """The results of ``steps``, (sorted position, increase) pairs, by chord Newton.
-
-    Each row of the block is the base problem with one entry raised. Every
-    row starts from the base solution and steps with ``solve``, the base
-    Hessian's one factor, which is each edited Hessian at that start. A row
-    stops on the solver's stopping rule, the gradient taken on the edited
-    data. A row whose gradient norm turns non-finite, fails to halve in one
-    step or still misses the tolerance after ``max_iterations`` steps is
-    re-solved by Newton instead.
-    """
-    i, j, r = matrix.index_arrays
-    n_alt, n_edge = len(matrix.alternatives), r.size
-    results = [None] * len(steps)
-    rows = np.arange(len(steps))
-    pos, deltas = zip(*steps)
-    raised = np.tile(r, (rows.size, 1))
-    raised[rows, pos] += deltas
-    # the block as one problem over rows * A alternatives, row k's offset by k * A
-    offsets = n_alt * np.arange(rows.size)[:, None]
-    stacked_i, stacked_j = (i + offsets).ravel(), (j + offsets).ravel()
-    t = np.tile(base[0].values, (rows.size, 1))
-    last = np.full(rows.size, math.inf)
-    for iteration in range(options.max_iterations + 1):
-        size = rows.size * n_edge
-        mean = law.cumulant_prime(t[:, i] - t[:, j])
-        g = _gradient(prior, (stacked_i[:size], stacked_j[:size], raised.ravel()),
-                      t.ravel(), mean.ravel()).reshape(rows.size, n_alt)
-        norm = np.linalg.norm(g, axis=1)
-        err, done = _stopping_rule(prior, norm, options.tolerance)
-        going = ~done & np.isfinite(norm) & (norm <= 0.5 * last) \
-            & (iteration < options.max_iterations)
-        for k in np.flatnonzero(~going):
-            p, delta = steps[rows[k]]
-            results[rows[k]] = (
-                _step_result(matrix, base, i[p], j[p], delta, t[k], float(err[k])) if done[k]
-                else _monotone_step(law, prior, matrix, base, p, True, delta, options))
-        if not going.any():
-            return results
-        rows, raised, t, g, last = rows[going], raised[going], t[going], g[going], norm[going]
-        t = t + solve(-g.T).T
+    resolve = _chord_solver(law, prior, matrix, base[0].values, options)
+    block = max(1, _CHORD_BLOCK // r.size)
+    results = []
+    for lo in range(0, len(steps), block):
+        chunk = steps[lo:lo + block]
+        raised = [matrix._splice(pos, float(r[pos]) + delta) for pos, delta in chunk]
+        results += [_step_result(matrix, base, i[pos], j[pos], delta, *solved)
+                    for (pos, delta), solved in zip(chunk, resolve(raised))]
+    return results
 
 
 # ------------------------------------------------------------------ resilience
@@ -325,6 +273,21 @@ def _random_edit(law: RootLaw, matrix: ComparisonMatrix, rng):
             return kind, pair, matrix._splice(pos, value)
 
 
+def _random_probe(law: RootLaw, prior: PriorConfig, base: ComparisonMatrix, edits: int, rng):
+    """``edits`` random edits of base (kinds and pairs joined, edit distance, edited
+    matrix), drawn again if they cancel out or leave no finite scores."""
+    for _ in range(_MAX_SKIPS):
+        edited, kinds, pairs = base, [], []
+        for _ in range(edits):
+            kind, pair, edited = _random_edit(law, edited, rng)
+            kinds.append(kind)
+            pairs.append(pair)
+        dist = base.edit_distance(edited)
+        if dist and _closed_group(law, prior, edited) is None:
+            return "+".join(kinds), ";".join(pairs), dist, edited
+    raise SolverError(f"no edit of the base keeps finite scores ({_MAX_SKIPS} draws skipped)")
+
+
 def _random_base(law: RootLaw, prior: PriorConfig, rng) -> ComparisonMatrix:
     n = 10
     while True:
@@ -344,13 +307,13 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
     """Solve base/edited pairs and report max ||dTheta||_2 / edit distance.
 
     Probes edit randomly generated bases, or the supplied ``base`` dataset.
-    Solver failures propagate. For bounded models the observed ratio is
-    expected to stay strictly under the bound; callers decide whether to
-    treat an excess as fatal.
+    Solver failures propagate, as does a base no edit of which keeps finite
+    scores (SolverError). Callers decide whether an observed ratio at or over
+    the bound, expected strictly under it for bounded models, is fatal.
     """
     rng = np.random.default_rng(config.seed)
     bound = resilience_bound(law, prior)
-    fixed_base = base is not None
+    per_base = config.n_probes if base is not None else max(1, config.n_probes // config.n_bases)
     if base is None:
         base = _random_base(law, prior, rng)
     probe = ResilienceProbe(bound=bound)
@@ -370,29 +333,21 @@ def measure_resilience(law: RootLaw, prior: PriorConfig,
             probe.observed_ratio = max(probe.observed_ratio, ratio)
         return probe
 
-    per_base = max(1, config.n_probes // config.n_bases)
     done = 0
-    base_vec, _ = map_estimate(law, prior, base, options)
     while done < config.n_probes:
-        edited = base
-        kinds, pairs = [], []
-        for _ in range(config.edits_per_probe):
-            kind, pair, edited = _random_edit(law, edited, rng)
-            kinds.append(kind)
-            pairs.append(pair)
-        dist = base.edit_distance(edited)
-        if dist == 0 or _closed_group(law, prior, edited) is not None:
-            continue
-        edited_vec, _ = map_estimate(law, prior, edited, options, initial=base_vec)
-        change = float(np.linalg.norm(edited_vec.values - base_vec.values))
-        ratio = change / dist
-        probe.records.append(ProbeRecord("+".join(kinds), ";".join(pairs), dist, change,
-                                         ratio, bound))
-        probe.observed_ratio = max(probe.observed_ratio, ratio)
-        done += 1
-        if not fixed_base and done % per_base == 0 and done < config.n_probes:
+        if done:
             base = _random_base(law, prior, rng)
-            base_vec, _ = map_estimate(law, prior, base, options)
+        base_vec, _ = map_estimate(law, prior, base, options)
+        resolve = _chord_solver(law, prior, base, base_vec.values, options)
+        stop = min(config.n_probes, done + per_base)
+        while done < stop:
+            drawn = [_random_probe(law, prior, base, config.edits_per_probe, rng)
+                     for _ in range(min(stop - done, max(1, _CHORD_BLOCK // base.num_pairs)))]
+            for (kind, pairs, dist, _), (values, _) in zip(drawn, resolve([d[3] for d in drawn])):
+                change = float(np.linalg.norm(values - base_vec.values))
+                probe.records.append(ProbeRecord(kind, pairs, dist, change, change / dist, bound))
+                probe.observed_ratio = max(probe.observed_ratio, change / dist)
+            done += len(drawn)
     return probe
 
 

@@ -164,9 +164,8 @@ def gradient(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix, theta) 
 
 
 def _gradient(prior, index_arrays, t, mean):
-    """The gradient from the edge means Phi'(theta_i - theta_j). K problems
-    over A alternatives stacked as one over K*A (row k's indices offset by
-    k*A) give each row's gradient with the same arithmetic."""
+    """The gradient from the edge means Phi'(theta_i - theta_j), of one problem
+    or of ``_chord_solver``'s stack of them."""
     i, j, r = index_arrays
     edge = mean - r
     return prior.inv_sigma_sq * t + np.bincount(i, edge, t.size) - np.bincount(j, edge, t.size)
@@ -369,6 +368,51 @@ def map_estimate(law: RootLaw, prior: PriorConfig, matrix: ComparisonMatrix,
                 raise fail("line search failed to make progress")
         t, current = cand, value
         iterations += 1
+
+
+def _chord_solver(law, prior, matrix, base, options):
+    """``resolve(edited)``: each edited matrix's (scores, certified error) by
+    chord (simplified) Newton on one factor of ``matrix``'s Hessian at its
+    solution ``base`` (an array). The edited problems run stacked as one over
+    K * A alternatives (row k's indices offset by k * A), each starting from
+    ``base`` and stopping on ``_stopping_rule`` with its own gradient; a row
+    whose gradient norm turns non-finite, fails to halve in one step or
+    outlasts ``max_iterations`` is re-solved by ``map_estimate`` from ``base``."""
+    options = options or SolverOptions()
+    i, j, _ = matrix.index_arrays
+    solve = _newton_solver(prior, matrix, law.tilted_moments(base[i] - base[j])[1])
+
+    def resolve(edited):
+        results = [None] * len(edited)
+        rows = np.arange(len(edited))
+        t = np.tile(base, (rows.size, 1))
+        last = np.full(rows.size, math.inf)
+        stacked = None
+        for iteration in range(options.max_iterations + 1):
+            if stacked is None:  # the live rows' edges, restacked only when rows finish
+                stacked = [np.concatenate(x) for x in zip(*(
+                    (si + k * base.size, sj + k * base.size, sr)
+                    for k, (si, sj, sr) in enumerate(edited[n].index_arrays for n in rows)))]
+            flat = t.ravel()
+            mean = law.cumulant_prime(flat[stacked[0]] - flat[stacked[1]])
+            g = _gradient(prior, stacked, flat, mean).reshape(rows.size, base.size)
+            norm = np.linalg.norm(g, axis=1)
+            err, done = _stopping_rule(prior, norm, options.tolerance)
+            going = ~done & np.isfinite(norm) & (norm <= 0.5 * last) \
+                & (iteration < options.max_iterations)
+            for k in np.flatnonzero(~going):
+                if done[k]:
+                    results[rows[k]] = (t[k], float(err[k]))
+                else:
+                    vec, rep = map_estimate(law, prior, edited[rows[k]], options, initial=base)
+                    results[rows[k]] = (vec.values, rep.certified_error)
+            if not going.any():
+                return results
+            stacked = stacked if going.all() else None
+            rows, t, g, last = rows[going], t[going], g[going], norm[going]
+            t = t + solve(-g.T).T
+
+    return resolve
 
 
 def map_estimate_gaussian(sigma0_sq: float, prior: PriorConfig,

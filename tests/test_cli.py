@@ -285,6 +285,20 @@ class TestCheck:
         lines = (tmp_path / "resilience_probes.csv").read_text().splitlines()
         assert len(lines) == probes + 1
 
+    def test_resilience_without_an_admissible_edit_exits_3(self, tmp_path):
+        # the one pair can only change to +-1, which leaves no finite scores:
+        # the probes give up on the base instead of drawing forever
+        write(tmp_path / "two.csv", "a,b,r\nx,y,0\n")
+        src = str(Path(gbtscore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = ["check", "--suite", "resilience", "--model", "knary:K=3", "--sigma-sq", "inf",
+                   "--input", "two.csv", "--probes", "5", "--out-dir", str(tmp_path / "o")]
+        done = subprocess.run([sys.executable, "-m", "gbtscore", *command], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3
+        assert "no edit of the base keeps finite scores" in done.stderr
+
     def test_moments_pass(self, tmp_path, capsys):
         rc = main(["check", "--suite", "moments", "--model", "beta:beta=2.5",
                    "--seed", "4", "--out-dir", str(tmp_path)])

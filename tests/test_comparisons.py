@@ -1,6 +1,8 @@
 """Comparison matrices: antisymmetry, edits, CSV I/O."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +33,14 @@ class TestAlternativeSet:
             AlternativeSet.from_ids(["x", "x"])
         with pytest.raises(ParameterError):
             AlternativeSet.from_ids([])
+
+    def test_duplicate_ids_are_counted_in_one_pass(self):
+        # one duplicate among 50k ids: a count per id took tens of seconds
+        ids = [f"a{k}" for k in range(50_000)] + ["a7"]
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=re.escape("duplicate alternative ids: ['a7']")):
+            AlternativeSet.from_ids(ids)
+        assert time.perf_counter() - start < 2.0
 
     def test_unknown_id(self):
         with pytest.raises(MismatchError):

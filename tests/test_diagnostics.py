@@ -31,20 +31,6 @@ def instance(law, n, edge_prob, seed):
     return synthesize_comparisons(law, truth, pairs, rng)
 
 
-def newton_iterations(monkeypatch, run, cold):
-    """run()'s result and the Newton iterations of each diagnostics solve;
-    ``cold`` drops every warm start."""
-    iterations = []
-
-    def counted(*args, initial=None, **kwargs):
-        vec, rep = map_estimate(*args, initial=None if cold else initial, **kwargs)
-        iterations.append(rep.iterations)
-        return vec, rep
-
-    monkeypatch.setattr(diagnostics, "map_estimate", counted)
-    return run(), iterations
-
-
 def public_re_solve(law, prior, matrix, base, pair, delta, options):
     """The step raising ``pair`` by ``delta`` as a warm re-solve of the edit
     through the public API, from the base solve ``base``."""
@@ -59,6 +45,35 @@ def public_re_solve(law, prior, matrix, base, pair, delta, options):
     margin_other = new_vec.value_of(pair[1]) - base_vec.value_of(pair[1])
     return MonotoneStepResult(pair, delta, margin, margin_other, err,
                               margin > 10.0 * err, abs(margin) > 10.0 * err)
+
+
+def re_solved_probes(law, prior, config, base=None, cold=False):
+    """The probes of ``measure_resilience`` as per-probe Newton re-solves from
+    the base solution (from zero when ``cold``), drawn from the same random
+    stream: (kind, pair, distance, l2 change, certified error of the edited
+    solve) for each probe."""
+    rng = np.random.default_rng(config.seed)
+    fixed = base is not None
+    base = base if fixed else diagnostics._random_base(law, prior, rng)
+    per_base = max(1, config.n_probes // config.n_bases)
+    probes = []
+    base_vec, _ = map_estimate(law, prior, base)
+    while len(probes) < config.n_probes:
+        edited, kinds, pairs = base, [], []
+        for _ in range(config.edits_per_probe):
+            kind, pair, edited = diagnostics._random_edit(law, edited, rng)
+            kinds.append(kind)
+            pairs.append(pair)
+        dist = base.edit_distance(edited)
+        if dist == 0 or solver._closed_group(law, prior, edited) is not None:
+            continue
+        vec, rep = map_estimate(law, prior, edited, initial=None if cold else base_vec)
+        probes.append(("+".join(kinds), ";".join(pairs), dist,
+                       float(np.linalg.norm(vec.values - base_vec.values)), rep.certified_error))
+        if not fixed and len(probes) % per_base == 0 and len(probes) < config.n_probes:
+            base = diagnostics._random_base(law, prior, rng)
+            base_vec, _ = map_estimate(law, prior, base)
+    return probes
 
 
 class TestConditionalMoments:
@@ -167,23 +182,36 @@ class TestMonotoneStep:
         assert checked > 2 * m.num_pairs - 2
 
 
+def counted_solves(monkeypatch):
+    """Lists that fill with the map_estimate calls of the diagnostics drivers
+    (base solves) and of the chord engine (rows it re-solved by Newton), as
+    (matrix, initial) pairs."""
+    solves, fallbacks = [], []
+
+    def counted(into):
+        def solve(law, prior, matrix, options=None, initial=None):
+            into.append((matrix, initial))
+            return map_estimate(law, prior, matrix, options, initial=initial)
+        return solve
+
+    monkeypatch.setattr(diagnostics, "map_estimate", counted(solves))
+    monkeypatch.setattr(solver, "map_estimate", counted(fallbacks))
+    return solves, fallbacks
+
+
 def counted_sweep(monkeypatch, law, prior, matrix, options=None):
     """The sweep's results, its map_estimate calls and the results of the
     rows it re-solved by Newton."""
-    solves, fallbacks = [], []
-
-    def solve(*args, **kwargs):
-        solves.append(args)
-        return map_estimate(*args, **kwargs)
-
-    def fallback(*args):
-        fallbacks.append(re_solve(*args))
-        return fallbacks[-1]
-
-    re_solve = diagnostics._monotone_step
-    monkeypatch.setattr(diagnostics, "map_estimate", solve)
-    monkeypatch.setattr(diagnostics, "_monotone_step", fallback)
-    return monotonicity_sweep(law, prior, matrix, options), solves, fallbacks
+    solves, fallbacks = counted_solves(monkeypatch)
+    results = monotonicity_sweep(law, prior, matrix, options)
+    i, j, r = matrix.index_arrays
+    ids = matrix.alternatives.ids
+    raised = set()
+    for edited, _ in fallbacks:
+        pos = int(np.flatnonzero(edited.index_arrays[2] != r)[0])
+        raised.add((ids[i[pos]], ids[j[pos]]))
+    solves += fallbacks
+    return results, solves, [res for res in results if res.pair in raised]
 
 
 class TestBatchedSweep:
@@ -226,16 +254,16 @@ class TestBatchedSweep:
         monkeypatch.setattr(RootLaw, "cumulant_prime", counted)
         results, solves, _ = counted_sweep(monkeypatch, law, PriorConfig(1e4), m)
         assert len(solves) == 1 and len(results) == m.num_pairs
-        # one block of every row: its start, and the check after one step
-        assert tilts == [(len(results), m.num_pairs)] * 2
+        # one stacked block of every row: its start, and the check after one step
+        assert tilts == [(len(results) * m.num_pairs,)] * 2
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_block_size_does_not_change_results(self, monkeypatch, spec):
         law, prior = parse_model_spec(spec), PriorConfig(1.0)
         m = instance(law, 30, 0.2, 31)
-        assert m.num_pairs < diagnostics._SWEEP_BLOCK < 100 * m.num_pairs  # one block
+        assert m.num_pairs < diagnostics._CHORD_BLOCK < 100 * m.num_pairs  # one block
         batched = monotonicity_sweep(law, prior, m)
-        monkeypatch.setattr(diagnostics, "_SWEEP_BLOCK", 1)
+        monkeypatch.setattr(diagnostics, "_CHORD_BLOCK", 1)
         single = monotonicity_sweep(law, prior, m)
         if law.family != Family.BETA:
             assert batched == single
@@ -332,20 +360,24 @@ class TestResilience:
         assert all(r.delta_distance == 1 for r in probe.records)
 
     def test_edit_probes_warm_start_from_the_base(self, monkeypatch):
-        law = RootLaw.knary(5)
+        # chord rows start at the base solution, and so does the Newton
+        # re-solve of a row that stalls
+        law, prior = RootLaw.knary(5), PriorConfig(1.0)
         base = instance(law, 30, 0.2, 29)
         config = ResilienceProbeConfig(n_probes=20, seed=3)
-
-        def run():
-            return measure_resilience(law, PriorConfig(1.0), config, base=base)
-
-        warm, warm_iterations = newton_iterations(monkeypatch, run, cold=False)
-        cold, cold_iterations = newton_iterations(monkeypatch, run, cold=True)
-        assert len(warm_iterations) == len(cold_iterations) == 21
-        assert sum(warm_iterations) < sum(cold_iterations)
-        for w, c in zip(warm.records, cold.records):
-            assert (w.edit_kind, w.pair, w.delta_distance) == (c.edit_kind, c.pair, c.delta_distance)
-            assert w.l2_change == pytest.approx(c.l2_change, rel=0.0, abs=4e-8)
+        solves, fallbacks = counted_solves(monkeypatch)
+        probe = measure_resilience(law, prior, config, base=base)
+        monkeypatch.undo()
+        base_vec, _ = map_estimate(law, prior, base)
+        assert [m for m, _ in solves] == [base] and 0 < len(fallbacks) < 20
+        assert all(np.array_equal(initial, base_vec.values) for _, initial in fallbacks)
+        warm = sum(map_estimate(law, prior, m, initial=x)[1].iterations for m, x in fallbacks)
+        cold = sum(map_estimate(law, prior, m)[1].iterations for m, _ in fallbacks)
+        assert warm < cold
+        want = re_solved_probes(law, prior, config, base, cold=True)
+        for rec, (kind, pair, dist, change, _) in zip(probe.records, want, strict=True):
+            assert (rec.edit_kind, rec.pair, rec.delta_distance) == (kind, pair, dist)
+            assert rec.l2_change == pytest.approx(change, rel=0.0, abs=4e-8)
 
     def test_multi_edit_probes(self):
         law = RootLaw.uniform()
@@ -380,6 +412,48 @@ class TestResilience:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "edit_kind,pair,delta_distance,l2_change,ratio,bound"
         assert len(lines) == 6
+
+
+class TestResilienceChord:
+    @pytest.mark.parametrize("cg", [False, True], ids=["dense", "cg"])
+    @pytest.mark.parametrize("sigma_sq", [1.0, 1e4, math.inf])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_matches_per_probe_re_solves(self, monkeypatch, spec, sigma_sq, cg):
+        law, prior = parse_model_spec(spec), PriorConfig(sigma_sq)
+        config = ResilienceProbeConfig(n_probes=12, n_bases=2, seed=4)
+        if cg:
+            monkeypatch.setattr(solver, "_DENSE_LIMIT", 2)
+        solves, fallbacks = counted_solves(monkeypatch)
+        probe = measure_resilience(law, prior, config)
+        # one solve per base, plus one re-solve from its solution per row that stalled
+        starts = [map_estimate(law, prior, m)[0].values for m, _ in solves]
+        monkeypatch.undo()
+        assert len(starts) == 2 and len(fallbacks) <= 12
+        assert all(any(np.array_equal(x, s) for s in starts) for _, x in fallbacks)
+        want = re_solved_probes(law, prior, config)
+        for rec, (kind, pair, dist, change, err) in zip(probe.records, want, strict=True):
+            assert (rec.edit_kind, rec.pair, rec.delta_distance) == (kind, pair, dist)
+            # each chord row stops within the tolerance; without a prior there
+            # is no certificate, and both stop on ||grad|| <= 1e-8
+            slack = 1e-6 if math.isinf(sigma_sq) else SolverOptions().tolerance + err
+            assert abs(rec.l2_change - change) <= slack
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_block_size_does_not_change_records(self, monkeypatch, spec):
+        law, prior = parse_model_spec(spec), PriorConfig(1.0)
+        base = instance(law, 12, 0.5, 29)
+        config = ResilienceProbeConfig(n_probes=20, seed=6)
+        batched = measure_resilience(law, prior, config, base=base)
+        monkeypatch.setattr(diagnostics, "_CHORD_BLOCK", 1)
+        single = measure_resilience(law, prior, config, base=base)
+        if law.family != Family.BETA:
+            assert batched == single
+            return
+        # beta sizes its quadrature rule by the largest tilt in the call
+        for b, s in zip(batched.records, single.records, strict=True):
+            assert (b.edit_kind, b.pair, b.delta_distance) == \
+                (s.edit_kind, s.pair, s.delta_distance)
+            assert abs(b.l2_change - s.l2_change) <= 2 * SolverOptions().tolerance
 
 
 def table_random_edit(law, matrix, rng):
